@@ -1,6 +1,5 @@
 //! PR 6 trajectory record: MTTKRP throughput per {dtype, tier,
-//! algorithm, T}, CP-ALS sweep time per dtype, and the fused-agreement
-//! errors — written to `BENCH_pr6.json` at the repo root through the
+//! algorithm, T} and CP-ALS sweep time per dtype — written to `BENCH_pr6.json` at the repo root through the
 //! shared [`BenchReport`] builder (schema in docs/FORMATS.md).
 //!
 //! Throughput is reported **GB-effective**: bytes are counted as if
@@ -15,7 +14,7 @@
 
 use mttkrp_bench::{sample_min, MttkrpFixture, RANK};
 use mttkrp_blas::{kernels, Layout, MatRef, Scalar};
-use mttkrp_core::{mttkrp_1step, mttkrp_2step, mttkrp_fused, AlgoChoice, MttkrpPlan, TwoStepSide};
+use mttkrp_core::{AlgoChoice, MttkrpPlan, TwoStepSide};
 use mttkrp_cpals::{cp_als, CpAlsOptions, KruskalModel, MttkrpStrategy};
 use mttkrp_obs::BenchReport;
 use mttkrp_parallel::ThreadPool;
@@ -33,15 +32,6 @@ struct MttkrpRow {
     gb_effective_per_s: f64,
 }
 
-/// Max relative error of the fused pass against a reference algorithm,
-/// over all modes.
-struct AgreementRow {
-    dtype: &'static str,
-    baseline: &'static str,
-    max_rel_error: f64,
-    bound: f64,
-}
-
 struct CpAlsRow {
     dtype: &'static str,
     seconds_per_sweep: f64,
@@ -57,15 +47,13 @@ fn samples() -> usize {
         .unwrap_or(SAMPLES)
 }
 
-/// Sweep one dtype: every mode × {1-step, 2-step (internal), fused} ×
-/// {1, host} threads, plus the agreement errors and a CP-ALS run.
+/// Sweep one dtype: every mode × {1-step, 2-step (internal)} ×
+/// {1, host} threads, plus a CP-ALS run.
 fn sweep<S: Scalar>(
     fx64: &MttkrpFixture,
     host: &ThreadPool,
     rows: &mut Vec<MttkrpRow>,
-    agreement: &mut Vec<AgreementRow>,
     cpals: &mut Vec<CpAlsRow>,
-    agreement_bound: f64,
 ) {
     let dims = fx64.dims.clone();
     let nmodes = dims.len();
@@ -99,7 +87,6 @@ fn sweep<S: Scalar>(
             let algos: &[(&str, AlgoChoice)] = &[
                 ("1step", AlgoChoice::OneStep),
                 ("2step", AlgoChoice::TwoStep(TwoStepSide::Auto)),
-                ("fused", AlgoChoice::Fused),
             ];
             for &(name, choice) in algos {
                 if name == "2step" && (n == 0 || n == nmodes - 1) {
@@ -120,32 +107,6 @@ fn sweep<S: Scalar>(
         }
     }
 
-    // Fused agreement against both references, max over modes.
-    let (mut err_one, mut err_two) = (0.0f64, 0.0f64);
-    for n in 0..nmodes {
-        let mut fused = vec![S::ZERO; dims[n] * RANK];
-        mttkrp_fused(host, &x, &refs, n, &mut fused);
-        let mut reference = vec![S::ZERO; dims[n] * RANK];
-        mttkrp_1step(host, &x, &refs, n, &mut reference);
-        err_one = err_one.max(max_rel(&fused, &reference));
-        if n > 0 && n < nmodes - 1 {
-            mttkrp_2step(host, &x, &refs, n, &mut reference);
-            err_two = err_two.max(max_rel(&fused, &reference));
-        }
-    }
-    agreement.push(AgreementRow {
-        dtype,
-        baseline: "1step",
-        max_rel_error: err_one,
-        bound: agreement_bound,
-    });
-    agreement.push(AgreementRow {
-        dtype,
-        baseline: "2step",
-        max_rel_error: err_two,
-        bound: agreement_bound,
-    });
-
     // CP-ALS sweep time on the same tensor.
     let iters = 4;
     let init = KruskalModel::<f64>::random(&dims, RANK, 23).cast::<S>();
@@ -165,16 +126,6 @@ fn sweep<S: Scalar>(
     });
 }
 
-fn max_rel<S: Scalar>(got: &[S], want: &[S]) -> f64 {
-    got.iter()
-        .zip(want)
-        .map(|(a, b)| {
-            let (a, b) = (a.to_f64(), b.to_f64());
-            (a - b).abs() / (1.0 + b.abs())
-        })
-        .fold(0.0, f64::max)
-}
-
 /// Best (max over modes/algorithms) GB-effective rate at `threads` for
 /// one dtype.
 fn best_rate(rows: &[MttkrpRow], dtype: &str, threads: usize) -> f64 {
@@ -191,10 +142,9 @@ fn main() {
     let fx = MttkrpFixture::equal(3, entries);
 
     let mut rows = Vec::new();
-    let mut agreement = Vec::new();
     let mut cpals = Vec::new();
-    sweep::<f64>(&fx, &host, &mut rows, &mut agreement, &mut cpals, 1e-12);
-    sweep::<f32>(&fx, &host, &mut rows, &mut agreement, &mut cpals, 1e-5);
+    sweep::<f64>(&fx, &host, &mut rows, &mut cpals);
+    sweep::<f32>(&fx, &host, &mut rows, &mut cpals);
 
     let f64_t1 = best_rate(&rows, "f64", 1);
     let f32_t1 = best_rate(&rows, "f32", 1);
@@ -231,15 +181,6 @@ fn main() {
             .field("seconds_per_sweep", r.seconds_per_sweep)
             .field("iters", r.iters)
             .field("final_fit", r.final_fit);
-    }
-    for r in &agreement {
-        report
-            .row("fused_agreement")
-            .field("dtype", r.dtype)
-            .field("baseline", r.baseline)
-            .field("max_rel_error", r.max_rel_error)
-            .field("bound", r.bound)
-            .field("within_bound", r.max_rel_error <= r.bound);
     }
     report
         .row("acceptance")

@@ -102,7 +102,6 @@ fn main() {
     let algos: &[(&str, AlgoChoice)] = &[
         ("1step", AlgoChoice::OneStep),
         ("2step", AlgoChoice::TwoStep(TwoStepSide::Auto)),
-        ("fused", AlgoChoice::Fused),
     ];
     let levels = [TraceLevel::Off, TraceLevel::Spans, TraceLevel::Full];
 

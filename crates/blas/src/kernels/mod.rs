@@ -155,7 +155,7 @@ pub struct KernelSet<S: Scalar = f64> {
     /// `a[i] *= b[i]` (equal lengths).
     pub hadamard_assign: fn(&mut [S], &[S]),
     /// `out[i] += a[i]·b[i]` (equal lengths) — the CSF internal-node
-    /// accumulate and the fused MTTKRP's row combine.
+    /// accumulate.
     pub mul_add: fn(&[S], &[S], &mut [S]),
     /// Rank-1 lower-triangle SYRK row update into an **f64**
     /// accumulator: for `n = row.len()`,

@@ -21,9 +21,6 @@ pub struct Breakdown {
     pub dgemm: f64,
     /// Matrix-vector multiplication time (2-step multi-TTV).
     pub dgemv: f64,
-    /// Matrix-free fused streaming time (the fused algorithm's single
-    /// pass over the tensor entries).
-    pub fused: f64,
     /// Final parallel reduction of thread-private outputs.
     pub reduce: f64,
     /// End-to-end wall time of the call.
@@ -33,13 +30,7 @@ pub struct Breakdown {
 impl Breakdown {
     /// Sum of all categorized phase times (excludes `total`).
     pub fn categorized(&self) -> f64 {
-        self.reorder
-            + self.full_krp
-            + self.lr_krp
-            + self.dgemm
-            + self.dgemv
-            + self.fused
-            + self.reduce
+        self.reorder + self.full_krp + self.lr_krp + self.dgemm + self.dgemv + self.reduce
     }
 
     /// Merge per-thread phase sums by taking the max per category —
@@ -52,7 +43,6 @@ impl Breakdown {
             out.lr_krp = out.lr_krp.max(p.lr_krp);
             out.dgemm = out.dgemm.max(p.dgemm);
             out.dgemv = out.dgemv.max(p.dgemv);
-            out.fused = out.fused.max(p.fused);
             out.reduce = out.reduce.max(p.reduce);
             out.total = out.total.max(p.total);
         }
@@ -78,7 +68,6 @@ impl Breakdown {
         self.lr_krp += other.lr_krp;
         self.dgemm += other.dgemm;
         self.dgemv += other.dgemv;
-        self.fused += other.fused;
         self.reduce += other.reduce;
     }
 

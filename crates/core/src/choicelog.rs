@@ -84,15 +84,14 @@ impl ChoiceRecord {
     }
 
     /// The model's predicted seconds for the algorithm that ran.
-    /// `None` for unpredicted plans, and for a fused run whose model
-    /// had no calibrated fused term.
+    /// `None` for unpredicted plans.
     pub fn predicted_for_run(&self) -> Option<f64> {
         let p = self.predicted?;
-        match self.algo {
-            PlannedAlgo::Fused => p.fused,
-            PlannedAlgo::OneStepExternal | PlannedAlgo::OneStepInternal => Some(p.one_step),
-            PlannedAlgo::TwoStepLeft | PlannedAlgo::TwoStepRight => Some(p.two_step),
-        }
+        Some(if self.ran_one_step() {
+            p.one_step
+        } else {
+            p.two_step
+        })
     }
 
     /// Relative error of the model on the executed algorithm:
@@ -348,10 +347,9 @@ impl ChoiceLog {
                 Some(p) => {
                     let _ = write!(
                         s,
-                        "{{\"one_step\": {}, \"two_step\": {}, \"fused\": {}}}",
+                        "{{\"one_step\": {}, \"two_step\": {}}}",
                         opt(Some(p.one_step)),
-                        opt(Some(p.two_step)),
-                        opt(p.fused)
+                        opt(Some(p.two_step))
                     );
                 }
                 None => s.push_str("null"),
@@ -500,7 +498,6 @@ mod tests {
             predicted: Some(ModeCost {
                 one_step: 1.0 + err,
                 two_step: 9.0,
-                fused: None,
             }),
             measured: 1.0,
             measured_other: None,

@@ -15,10 +15,6 @@
 //! * [`twostep`] — Algorithm 4 (Phan et al.): one large partial-MTTKRP
 //!   GEMM on `X(0:n)` or `X(0:n−1)ᵀ` followed by a multi-TTV of GEMV
 //!   calls, choosing the side that minimizes second-step flops.
-//! * [`fused`] — the matrix-free fused variant (GenTen-style): one
-//!   streaming pass over the tensor entries per mode, fusing the
-//!   implicit unfolding with the Hadamard of factor rows — no
-//!   materialized KRP, no unfold buffer, no reduction.
 //! * [`dispatch::mttkrp_auto`] — the per-mode choice used by the CP-ALS
 //!   driver (1-step for external modes, 2-step for internal modes).
 //! * [`plan::MttkrpPlan`] — the reusable plan/executor split: algorithm
@@ -74,7 +70,6 @@ pub mod baseline;
 pub mod breakdown;
 pub mod choicelog;
 pub mod dispatch;
-pub mod fused;
 pub mod model;
 pub mod multimode;
 pub mod onestep;
@@ -87,7 +82,6 @@ pub use baseline::{mttkrp_explicit, mttkrp_explicit_timed};
 pub use breakdown::Breakdown;
 pub use choicelog::{ChoiceLog, ChoiceRecord};
 pub use dispatch::{mttkrp_auto, mttkrp_auto_timed, ModeKind};
-pub use fused::{mttkrp_fused, mttkrp_fused_timed};
 pub use model::{cost_model_installed, install_cost_model, tuned_cost, ModeCost};
 pub use multimode::{mttkrp_all_modes, AllModesPlan};
 pub use onestep::{mttkrp_1step, mttkrp_1step_seq, mttkrp_1step_timed};

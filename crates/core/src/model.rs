@@ -29,11 +29,6 @@ pub struct ModeCost {
     pub one_step: f64,
     /// Predicted seconds for the 2-step algorithm (Algorithm 4).
     pub two_step: f64,
-    /// Predicted seconds for the matrix-free fused algorithm, when the
-    /// model has a calibrated fused term (`None` for profiles recorded
-    /// before the fused path existed — plans then choose between
-    /// 1-step and 2-step only).
-    pub fused: Option<f64>,
 }
 
 /// A cost model: `(dims, rank, mode, threads)` to the predicted
@@ -79,7 +74,6 @@ mod tests {
         let a = ModeCost {
             one_step: 1.0,
             two_step: 2.0,
-            fused: None,
         };
         assert_eq!(a, a);
         assert!(format!("{a:?}").contains("one_step"));

@@ -89,11 +89,6 @@ pub enum AlgoChoice {
     /// Force the 2-step algorithm (Algorithm 4) with the given side on
     /// internal modes; external modes still degenerate to 1-step.
     TwoStep(TwoStepSide),
-    /// Force the matrix-free fused algorithm on every mode: one
-    /// streaming pass over the tensor entries that multiplies each
-    /// entry into its output row with the on-the-fly Hadamard of factor
-    /// rows — no materialized KRP, no unfold buffer, no reduction.
-    Fused,
     /// Pick whichever of the two predicted times is smaller — the
     /// machine-model override. Build the predictions with
     /// `mttkrp_machine::predicted_choice`.
@@ -126,9 +121,6 @@ pub enum PlannedAlgo {
     TwoStepLeft,
     /// 2-step, partial on the right (`R = X(0:n)·KR`).
     TwoStepRight,
-    /// Matrix-free fused streaming pass (GenTen-style), threads owning
-    /// disjoint output row ranges.
-    Fused,
 }
 
 /// Per-thread workspace of the external-mode 1-step executor.
@@ -153,20 +145,6 @@ struct IntSlot<S: Scalar> {
     kr_row: Vec<S>,
     /// Reusable Khatri-Rao cursor state.
     krp: KrpState<S>,
-    /// Per-thread phase times for the merged breakdown.
-    bd: Breakdown,
-}
-
-/// Per-thread workspace of the matrix-free fused executor.
-struct FusedSlot<S: Scalar> {
-    /// Current left-KRP row (`C`), streamed per entry.
-    kl_row: Vec<S>,
-    /// Current right-KRP row (`C`), streamed per right block.
-    kr_row: Vec<S>,
-    /// Reusable cursor state for the left row stream.
-    left: KrpState<S>,
-    /// Reusable cursor state for the right row stream.
-    right: KrpState<S>,
     /// Per-thread phase times for the merged breakdown.
     bd: Breakdown,
 }
@@ -212,18 +190,6 @@ enum PlanKind<S: Scalar> {
         /// Multi-TTV output column scratch.
         col_out: Vec<S>,
     },
-    Fused {
-        il: usize,
-        ir: usize,
-        /// Factor indices `n−1, …, 0` (left KRP order).
-        left_order: Vec<usize>,
-        /// Factor indices `N−1, …, n+1` (right KRP order).
-        right_order: Vec<usize>,
-        /// Static per-thread output row ranges (disjoint — no
-        /// reduction).
-        row_ranges: Vec<Range<usize>>,
-        ws: Workspace<FusedSlot<S>>,
-    },
 }
 
 /// A reusable execution plan for the mode-`n` MTTKRP of one tensor
@@ -245,11 +211,6 @@ pub struct MttkrpPlan<S: Scalar = f64> {
     /// [`crate::ChoiceLog`] can compare predictions against
     /// measurements.
     choice: AlgoChoice,
-    /// The cost model's full prediction when one resolved this plan
-    /// (a direct [`AlgoChoice::Predicted`], or `Tuned` hitting an
-    /// installed model — including resolutions that picked the fused
-    /// path, which the two-field `Predicted` variant cannot carry).
-    predicted: Option<ModeCost>,
     kind: PlanKind<S>,
     /// Dispatched SIMD kernels for GEMM tiles and Hadamard row
     /// products, resolved at plan construction.
@@ -326,33 +287,14 @@ impl<S: Scalar> MttkrpPlan<S> {
         // Resolve the adaptive choice first: with an installed cost
         // model `Tuned` becomes a concrete prediction for this shape;
         // without one it is exactly the paper's heuristic.
-        let mut predicted = None;
         let choice = match choice {
             AlgoChoice::Tuned => match tuned_cost(dims, c, n, t) {
-                Some(cost) => {
-                    predicted = Some(cost);
-                    match cost.fused {
-                        // The fused term is opt-in: only a profile that
-                        // calibrated the fused pass prices it.
-                        Some(f) if f < cost.one_step.min(cost.two_step) => AlgoChoice::Fused,
-                        _ => AlgoChoice::Predicted {
-                            one_step: cost.one_step,
-                            two_step: cost.two_step,
-                        },
-                    }
+                Some(ModeCost { one_step, two_step }) => {
+                    AlgoChoice::Predicted { one_step, two_step }
                 }
                 None => AlgoChoice::Heuristic,
             },
-            other => {
-                if let AlgoChoice::Predicted { one_step, two_step } = other {
-                    predicted = Some(ModeCost {
-                        one_step,
-                        two_step,
-                        fused: None,
-                    });
-                }
-                other
-            }
+            other => other,
         };
         let i_n = dims[n];
         let il: usize = dims[..n].iter().product();
@@ -360,22 +302,15 @@ impl<S: Scalar> MttkrpPlan<S> {
         // Algorithm choice follows the paper's mode-index rule: the
         // 2-step degenerates on modes 0 and N−1.
         let external = n == 0 || n == nmodes - 1;
-        let fused = matches!(choice, AlgoChoice::Fused);
 
-        let one_step = if fused {
-            false
-        } else if external {
-            true
-        } else {
-            match choice {
+        let one_step = external
+            || match choice {
                 AlgoChoice::Heuristic => false,
                 AlgoChoice::OneStep => true,
                 AlgoChoice::TwoStep(_) => false,
                 AlgoChoice::Predicted { one_step, two_step } => one_step <= two_step,
-                AlgoChoice::Fused => unreachable!("fused handled above"),
                 AlgoChoice::Tuned => unreachable!("Tuned resolved above"),
-            }
-        };
+            };
 
         // The 1-step *kernel* variant is chosen by layout, not mode
         // index: whenever `X(n)` collapses to a single strided view
@@ -385,38 +320,7 @@ impl<S: Scalar> MttkrpPlan<S> {
         // by index alone would send e.g. mode 1 of `[400, 300, 1]` to
         // the block-cyclic internal kernel, whose single block serializes
         // the whole GEMM on one thread.
-        let (algo, kind) = if fused {
-            let nsplit = usize::min(t, i_n.max(1));
-            let row_ranges: Vec<Range<usize>> = (0..t)
-                .map(|tid| {
-                    if tid < nsplit {
-                        block_range(i_n, nsplit, tid)
-                    } else {
-                        0..0
-                    }
-                })
-                .collect();
-            let left_order: Vec<usize> = (0..n).rev().collect();
-            let right_order: Vec<usize> = (n + 1..nmodes).rev().collect();
-            let ws = Workspace::new(t, |_| FusedSlot {
-                kl_row: vec![S::ZERO; c],
-                kr_row: vec![S::ZERO; c],
-                left: KrpState::new(),
-                right: KrpState::new(),
-                bd: Breakdown::default(),
-            });
-            (
-                PlannedAlgo::Fused,
-                PlanKind::Fused {
-                    il,
-                    ir,
-                    left_order,
-                    right_order,
-                    row_ranges,
-                    ws,
-                },
-            )
-        } else if one_step && (il == 1 || ir == 1) {
+        let (algo, kind) = if one_step && (il == 1 || ir == 1) {
             let j_total: usize = dims.iter().product::<usize>() / i_n;
             let nsplit = usize::min(t, j_total.max(1));
             let col_ranges: Vec<Range<usize>> = (0..t)
@@ -504,7 +408,6 @@ impl<S: Scalar> MttkrpPlan<S> {
             threads: t,
             algo,
             choice,
-            predicted,
             kind,
             kernels: ks,
         }
@@ -523,7 +426,10 @@ impl<S: Scalar> MttkrpPlan<S> {
     /// was built from a prediction ([`AlgoChoice::Predicted`], directly
     /// or via a resolved [`AlgoChoice::Tuned`]).
     pub fn predicted_times(&self) -> Option<ModeCost> {
-        self.predicted
+        match self.choice {
+            AlgoChoice::Predicted { one_step, two_step } => Some(ModeCost { one_step, two_step }),
+            _ => None,
+        }
     }
 
     /// The kernel tier this plan's hot loops dispatch to.
@@ -570,7 +476,6 @@ impl<S: Scalar> MttkrpPlan<S> {
             PlanKind::OneStepExternal { ws, .. } => ws.slot(0).m.as_ptr(),
             PlanKind::OneStepInternal { ws, .. } => ws.slot(0).m.as_ptr(),
             PlanKind::TwoStep { mid, .. } => mid.as_ptr(),
-            PlanKind::Fused { ws, .. } => ws.slot(0).kl_row.as_ptr(),
         }
     }
 
@@ -699,31 +604,6 @@ impl<S: Scalar> MttkrpPlan<S> {
                     mid,
                     col_in,
                     col_out,
-                    out,
-                    &mut bd,
-                );
-            }
-            PlanKind::Fused {
-                il,
-                ir,
-                left_order,
-                right_order,
-                row_ranges,
-                ws,
-            } => {
-                exec_fused(
-                    &self.kernels,
-                    pool,
-                    x,
-                    factors,
-                    i_n,
-                    c,
-                    *il,
-                    *ir,
-                    left_order,
-                    right_order,
-                    row_ranges,
-                    ws,
                     out,
                     &mut bd,
                 );
@@ -1007,130 +887,6 @@ fn reduce_slots<W, S: Scalar>(
     reduce::sum_into(pool, out, &parts);
 }
 
-/// `out[c] += x · kl[c] · kr[c]` — the fused algorithm's per-entry
-/// rank-length accumulate, contracted so LLVM keeps the FMA form for
-/// both element types.
-#[inline]
-fn fused_accum<S: Scalar>(x: S, kl: &[S], kr: &[S], out: &mut [S]) {
-    for ((o, &a), &b) in out.iter_mut().zip(kl).zip(kr) {
-        *o = (x * a).mul_add(b, *o);
-    }
-}
-
-/// The matrix-free fused MTTKRP: one pass over the tensor entries in
-/// natural order, multiplying each entry into its output row with the
-/// on-the-fly Hadamard of factor rows — no materialized KRP, no unfold
-/// buffer, and no reduction (threads own disjoint output row ranges).
-///
-/// Entry `ℓ = jl + i·IL_n + jr·IL_n·I_n` contributes
-/// `M(i,:) += X[ℓ] · (KL(jl,:) ∗ KR(jr,:))`. Left rows are streamed
-/// with Algorithm 1's prefix reuse — or borrowed straight from the
-/// factor when one matrix makes up the side — so the dominant cost is
-/// one fused multiply-add chain per entry.
-#[allow(clippy::too_many_arguments)]
-fn exec_fused<S: Scalar>(
-    ks: &KernelSet<S>,
-    pool: &ThreadPool,
-    x: &DenseTensor<S>,
-    factors: &[MatRef<S>],
-    i_n: usize,
-    c: usize,
-    il: usize,
-    ir: usize,
-    left_order: &[usize],
-    right_order: &[usize],
-    row_ranges: &[Range<usize>],
-    ws: &mut Workspace<FusedSlot<S>>,
-    out: &mut [S],
-    bd: &mut Breakdown,
-) {
-    let data = x.data();
-    let out_base = out.as_mut_ptr() as usize;
-    pool.run_with_workspace(ws, |ctx, slot| {
-        let FusedSlot {
-            kl_row,
-            kr_row,
-            left,
-            right,
-            bd,
-        } = slot;
-        *bd = Breakdown::default();
-        let r = row_ranges[ctx.thread_id].clone();
-        if r.is_empty() {
-            return;
-        }
-        // Safety: row ranges are pairwise disjoint sub-ranges of
-        // `0..i_n` and `out` stays mutably borrowed for the region.
-        let my_out = unsafe {
-            std::slice::from_raw_parts_mut((out_base as *mut S).add(r.start * c), r.len() * c)
-        };
-        my_out.fill(S::ZERO);
-        timed_traced("fused_stream", &mut bd.fused, || {
-            let z_l = left_order.len();
-            let z_r = right_order.len();
-            let mut right_stream = (z_r >= 2).then(|| right.cursor_with(factors, right_order, ks));
-            for jr in 0..ir {
-                match (&mut right_stream, z_r) {
-                    (Some(stream), _) => stream.write_next(kr_row),
-                    (None, 1) => kr_row.copy_from_slice(factors[right_order[0]].row_slice(jr)),
-                    (None, _) => {}
-                }
-                for i in r.clone() {
-                    let orow = &mut my_out[(i - r.start) * c..(i - r.start) * c + c];
-                    let base = (jr * i_n + i) * il;
-                    let xrow = &data[base..base + il];
-                    match (z_l, z_r) {
-                        (0, _) => {
-                            // Mode 0 (IL = 1): the row product is KR alone.
-                            (ks.axpy)(xrow[0], kr_row, orow);
-                        }
-                        (1, 0) => {
-                            // Last mode of an order-2 tensor.
-                            let f = factors[left_order[0]];
-                            for (jl, &xv) in xrow.iter().enumerate() {
-                                if xv != S::ZERO {
-                                    (ks.axpy)(xv, f.row_slice(jl), orow);
-                                }
-                            }
-                        }
-                        (_, 0) => {
-                            // Last mode: stream left rows, no right side.
-                            let mut ls = left.cursor_with(factors, left_order, ks);
-                            for &xv in xrow {
-                                ls.write_next(kl_row);
-                                if xv != S::ZERO {
-                                    (ks.axpy)(xv, kl_row, orow);
-                                }
-                            }
-                        }
-                        (1, _) => {
-                            // One left factor: borrow its rows directly.
-                            let f = factors[left_order[0]];
-                            for (jl, &xv) in xrow.iter().enumerate() {
-                                if xv != S::ZERO {
-                                    fused_accum(xv, f.row_slice(jl), kr_row, orow);
-                                }
-                            }
-                        }
-                        _ => {
-                            let mut ls = left.cursor_with(factors, left_order, ks);
-                            for &xv in xrow {
-                                ls.write_next(kl_row);
-                                if xv != S::ZERO {
-                                    fused_accum(xv, kl_row, kr_row, orow);
-                                }
-                            }
-                        }
-                    }
-                }
-            }
-        });
-    });
-    for slot in ws.slots() {
-        bd.fused = bd.fused.max(slot.bd.fused);
-    }
-}
-
 /// One plan per mode of a tensor shape — what CP-ALS builds once per
 /// model and reuses every sweep.
 #[derive(Debug)]
@@ -1142,19 +898,8 @@ impl<S: Scalar> MttkrpPlanSet<S> {
     /// Plan every mode of a `dims` tensor at rank `c` with the same
     /// [`AlgoChoice`].
     pub fn new(pool: &ThreadPool, dims: &[usize], c: usize, choice: AlgoChoice) -> Self {
-        Self::with_choices(pool, dims, c, |_| choice)
-    }
-
-    /// Plan every mode, choosing the kernel per mode — e.g. from
-    /// machine-model predictions.
-    pub fn with_choices(
-        pool: &ThreadPool,
-        dims: &[usize],
-        c: usize,
-        mut choice: impl FnMut(usize) -> AlgoChoice,
-    ) -> Self {
         let plans = (0..dims.len())
-            .map(|n| MttkrpPlan::new(pool, dims, c, n, choice(n)))
+            .map(|n| MttkrpPlan::new(pool, dims, c, n, choice))
             .collect();
         MttkrpPlanSet { plans }
     }
@@ -1256,7 +1001,6 @@ mod tests {
                         one_step: 2.0,
                         two_step: 1.0,
                     },
-                    AlgoChoice::Fused,
                 ] {
                     let mut plan = MttkrpPlan::new(&pool, &dims, c, n, choice);
                     let mut got = vec![f64::NAN; dims[n] * c];
@@ -1430,11 +1174,7 @@ mod tests {
             for n in 0..dims.len() {
                 let mut want = vec![0.0; dims[n] * c];
                 mttkrp_oracle(&x, &refs, n, &mut want);
-                for choice in [
-                    AlgoChoice::OneStep,
-                    AlgoChoice::TwoStep(TwoStepSide::Auto),
-                    AlgoChoice::Fused,
-                ] {
+                for choice in [AlgoChoice::OneStep, AlgoChoice::TwoStep(TwoStepSide::Auto)] {
                     let mut plan = MttkrpPlan::new_with_kernels(&pool, &dims, c, n, choice, ks);
                     assert_eq!(plan.kernel_tier(), tier);
                     let mut got = vec![f64::NAN; dims[n] * c];

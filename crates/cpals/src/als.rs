@@ -33,9 +33,6 @@ pub enum MttkrpStrategy {
     /// calibrated tuning profile (`mttkrp-tune`); identical to
     /// [`MttkrpStrategy::Auto`] when no profile is loaded.
     Tuned,
-    /// Matrix-free fused streaming MTTKRP everywhere (one pass over the
-    /// tensor entries per mode, no materialized KRP or unfold).
-    Fused,
 }
 
 impl MttkrpStrategy {
@@ -49,7 +46,6 @@ impl MttkrpStrategy {
             MttkrpStrategy::TwoStep => Some(AlgoChoice::TwoStep(TwoStepSide::Auto)),
             MttkrpStrategy::Explicit => None,
             MttkrpStrategy::Tuned => Some(AlgoChoice::Tuned),
-            MttkrpStrategy::Fused => Some(AlgoChoice::Fused),
         }
     }
 }

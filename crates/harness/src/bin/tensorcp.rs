@@ -724,7 +724,7 @@ fn profile_at<S: Scalar>(opts: &HashMap<String, String>, x: &DenseTensor<S>) -> 
         .map(|(f, &d)| MatRef::from_slice(f, d, rank, Layout::RowMajor))
         .collect();
 
-    println!("algorithm,mode,total_ms,reorder_ms,krp_ms,gemm_ms,gemv_ms,reduce_ms,fused_ms");
+    println!("algorithm,mode,total_ms,reorder_ms,krp_ms,gemm_ms,gemv_ms,reduce_ms");
     for n in 0..dims.len() {
         let mut out = vec![S::ZERO; dims[n] * rank];
         let bd = mttkrp_explicit_timed(&pool, x, &refs, n, &mut out);
@@ -735,21 +735,18 @@ fn profile_at<S: Scalar>(opts: &HashMap<String, String>, x: &DenseTensor<S>) -> 
             let bd = mttkrp_2step_timed(&pool, x, &refs, n, &mut out, TwoStepSide::Auto);
             print_row("2step", n, &bd);
         }
-        let bd = mttkrp_core::mttkrp_fused_timed(&pool, x, &refs, n, &mut out);
-        print_row("fused", n, &bd);
     }
     Ok(())
 }
 
 fn print_row(alg: &str, n: usize, bd: &mttkrp_core::Breakdown) {
     println!(
-        "{alg},{n},{:.3},{:.3},{:.3},{:.3},{:.3},{:.3},{:.3}",
+        "{alg},{n},{:.3},{:.3},{:.3},{:.3},{:.3},{:.3}",
         bd.total * 1e3,
         bd.reorder * 1e3,
         (bd.full_krp + bd.lr_krp) * 1e3,
         bd.dgemm * 1e3,
         bd.dgemv * 1e3,
         bd.reduce * 1e3,
-        bd.fused * 1e3,
     );
 }

@@ -1,13 +1,12 @@
 //! Figure 5: MTTKRP time vs threads for N ∈ {3,4,5,6} equal-dimension
 //! tensors (≈750M entries in the paper, scaled here), C = 25 —
-//! 1-step per mode, 2-step per internal mode, the matrix-free fused
-//! pass, and the baseline DGEMM. `--dtype f32` runs the same sweep in
+//! 1-step per mode, 2-step per internal mode, and the baseline DGEMM. `--dtype f32` runs the same sweep in
 //! binary32 storage (f64 accumulators inside every reduction).
 
 use mttkrp_blas::{Dtype, Layout, MatRef, Scalar};
 use mttkrp_core::baseline::baseline_gemm_only;
 use mttkrp_core::{AlgoChoice, MttkrpPlan, TwoStepSide};
-use mttkrp_machine::{predict_1step, predict_2step, predict_baseline, predict_fused, Machine};
+use mttkrp_machine::{predict_1step, predict_2step, predict_baseline, Machine};
 use mttkrp_parallel::ThreadPool;
 use mttkrp_tensor::DenseTensor;
 use mttkrp_workloads::{equal_dims, random_factors, random_matrix};
@@ -97,18 +96,6 @@ fn run_at<S: Scalar>(scale: Scale) {
                         fmt_s(predict_2step(&machine, &dims, n, C, t).total)
                     );
                 }
-            }
-            // The matrix-free fused pass (one tensor read, no GEMM, no
-            // materialized KRP) — the third algorithm a tuned plan can
-            // pick.
-            let mut plan = MttkrpPlan::new(&pool, &dims, C, n, AlgoChoice::Fused);
-            let tf = time_median(scale.trials(), || plan.execute(&pool, &x, &frefs, &mut out));
-            println!("Fused n={n},{},{},measured", pool.num_threads(), fmt_s(tf));
-            for &t in &MODEL_THREADS {
-                println!(
-                    "Fused n={n},{t},{},model",
-                    fmt_s(predict_fused(&machine, &dims, n, C, t).total)
-                );
             }
         }
 

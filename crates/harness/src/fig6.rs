@@ -1,11 +1,11 @@
-//! Figure 6: per-phase time breakdown of baseline / 1-step / 2-step /
-//! fused across modes, sequential (T=1) and parallel (T=12), for the
+//! Figure 6: per-phase time breakdown of baseline / 1-step / 2-step
+//! across modes, sequential (T=1) and parallel (T=12), for the
 //! Figure 5 tensors. `--dtype f32` reruns the sweep in binary32
 //! storage.
 
 use mttkrp_blas::{Dtype, Scalar};
 use mttkrp_core::{mttkrp_explicit_timed, AlgoChoice, Breakdown, MttkrpPlan, TwoStepSide};
-use mttkrp_machine::{predict_1step, predict_2step, predict_explicit, predict_fused, Machine};
+use mttkrp_machine::{predict_1step, predict_2step, predict_explicit, Machine};
 use mttkrp_parallel::ThreadPool;
 
 use crate::fig5::{refs, workload, C};
@@ -14,14 +14,13 @@ use crate::util::fmt_s;
 
 fn print_bd(series: &str, n: usize, t: usize, source: &str, bd: &Breakdown) {
     println!(
-        "{series},n={n},T={t},{source},reorder={},full_krp={},lr_krp={},dgemm={},dgemv={},reduce={},fused={},total={}",
+        "{series},n={n},T={t},{source},reorder={},full_krp={},lr_krp={},dgemm={},dgemv={},reduce={},total={}",
         fmt_s(bd.reorder),
         fmt_s(bd.full_krp),
         fmt_s(bd.lr_krp),
         fmt_s(bd.dgemm),
         fmt_s(bd.dgemv),
         fmt_s(bd.reduce),
-        fmt_s(bd.fused),
         fmt_s(bd.total),
     );
 }
@@ -38,7 +37,7 @@ fn run_at<S: Scalar>(scale: Scale) {
         "## Figure 6: MTTKRP phase breakdowns (C = {C}, dtype = {})",
         S::DTYPE
     );
-    println!("# B = explicit baseline (reorder + full KRP + DGEMM); 1S/2S = paper algorithms; FU = matrix-free fused");
+    println!("# B = explicit baseline (reorder + full KRP + DGEMM); 1S/2S = paper algorithms");
     let pool = ThreadPool::host();
     let machine = Machine::sandy_bridge_12core();
     let host_t = pool.num_threads();
@@ -64,10 +63,6 @@ fn run_at<S: Scalar>(scale: Scale) {
                 let bd_2 = p2.execute_timed(&pool, &x, &frefs, &mut out);
                 print_bd("2S", n, host_t, "measured", &bd_2);
             }
-            let mut pf = MttkrpPlan::new(&pool, &dims, C, n, AlgoChoice::Fused);
-            pf.execute(&pool, &x, &frefs, &mut out);
-            let bd_f = pf.execute_timed(&pool, &x, &frefs, &mut out);
-            print_bd("FU", n, host_t, "measured", &bd_f);
 
             for &t in &[1usize, 12] {
                 print_bd(
@@ -93,13 +88,6 @@ fn run_at<S: Scalar>(scale: Scale) {
                         &predict_2step(&machine, &dims, n, C, t),
                     );
                 }
-                print_bd(
-                    "FU",
-                    n,
-                    t,
-                    "model",
-                    &predict_fused(&machine, &dims, n, C, t),
-                );
             }
         }
     }

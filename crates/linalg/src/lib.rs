@@ -17,8 +17,6 @@
 //!   QL symmetric eigendecomposition, the fast EVD;
 //! * [`GramSolver`] — the policy object tying the rungs together with
 //!   a cheap condition estimate and reusable workspaces;
-//! * [`lu_factor`] / [`lu_solve`] — general square solves with partial
-//!   pivoting;
 //! * [`jacobi_eigh`] / [`sym_pinv`] — the original cyclic Jacobi
 //!   eigensolver and pseudoinverse, retained as the slow-but-robust
 //!   **test oracle** for every faster path above.
@@ -33,7 +31,6 @@ pub mod chol;
 pub mod eigh;
 pub mod evd;
 pub mod ldlt;
-pub mod lu;
 pub mod solve;
 
 pub use chol::{
@@ -44,7 +41,6 @@ pub use chol::{
 pub use eigh::{jacobi_eigh, jacobi_eigh_in, sym_pinv, sym_pinv_into, PinvWorkspace};
 pub use evd::{sym_evd, sym_evd_in};
 pub use ldlt::{ldlt_factor_in_place, ldlt_inverse_into, ldlt_solve_in_place};
-pub use lu::{lu_factor, lu_solve};
 pub use solve::{GramSolver, SolvePolicy, SolveVariant, DEFAULT_COND_LIMIT};
 
 /// Errors from the dense factorizations.
@@ -53,8 +49,6 @@ pub enum LinalgError {
     /// A Cholesky/LDLᵀ pivot was negative beyond round-off: the matrix
     /// is not (numerically) positive semi-definite.
     NotPositiveDefinite,
-    /// An exactly singular pivot was encountered in LU.
-    Singular,
     /// The eigensolver iteration limit was reached before convergence.
     NoConvergence,
 }
@@ -63,7 +57,6 @@ impl std::fmt::Display for LinalgError {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         match self {
             LinalgError::NotPositiveDefinite => write!(f, "matrix is not positive definite"),
-            LinalgError::Singular => write!(f, "matrix is singular"),
             LinalgError::NoConvergence => write!(f, "eigensolver did not converge"),
         }
     }

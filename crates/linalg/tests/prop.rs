@@ -5,8 +5,8 @@
 
 use mttkrp_blas::{kernels, Layout, MatMut, MatRef};
 use mttkrp_linalg::{
-    cholesky_in_place, cholesky_solve_in_place, jacobi_eigh, lu_factor, lu_solve, sym_evd,
-    sym_pinv, GramSolver, SolvePolicy,
+    cholesky_in_place, cholesky_solve_in_place, jacobi_eigh, sym_evd, sym_pinv, GramSolver,
+    SolvePolicy,
 };
 use mttkrp_rng::Rng64;
 
@@ -55,41 +55,6 @@ fn psd_rank(rng: &mut Rng64, n: usize, r: usize) -> Vec<f64> {
         }
     }
     a
-}
-
-#[test]
-fn lu_solves_random_systems() {
-    let mut rng = Rng64::seed_from_u64(0x11A6_0001);
-    for case in 0..48 {
-        let n = rng.usize_in(1, 12);
-        let a = rand_mat(&mut rng, n);
-        let x_true: Vec<f64> = (0..n).map(|i| (i as f64) - (n as f64) / 2.0).collect();
-        let mut b = vec![0.0; n];
-        for i in 0..n {
-            for j in 0..n {
-                b[i] += a[i + j * n] * x_true[j];
-            }
-        }
-        let mut lu = a.clone();
-        let mut piv = vec![0usize; n];
-        // Random matrices are almost surely nonsingular; skip the
-        // measure-zero failures rather than fail the property.
-        if lu_factor(
-            MatMut::from_slice(&mut lu, n, n, Layout::ColMajor),
-            &mut piv,
-        )
-        .is_ok()
-        {
-            lu_solve(
-                MatRef::from_slice(&lu, n, n, Layout::ColMajor),
-                &piv,
-                &mut b,
-            );
-            for (got, want) in b.iter().zip(&x_true) {
-                assert!((got - want).abs() < 1e-6, "case {case}: n={n}");
-            }
-        }
-    }
 }
 
 #[test]

@@ -22,23 +22,22 @@
 //!   algorithm's "more square" partial MTTKRP scales better.
 //!
 //! Absolute constants default to the E5-2620 (16 GFLOP/s per core);
-//! [`Machine::calibrated`] instead measures this host's single-thread
-//! GEMM rate and STREAM bandwidth and keeps the paper machine's scaling
-//! curves, per the substitution documented in DESIGN.md.
+//! `mttkrp-tune`'s calibration instead measures this host's GEMM rate,
+//! bandwidth curve and Hadamard cost and installs the resulting
+//! [`Machine`] with [`install_machine`].
 
 #![deny(missing_docs)]
 
 pub mod predict;
 
 pub use predict::{
-    predict_1step, predict_2step, predict_baseline, predict_explicit, predict_fused, predict_krp,
-    predict_stream, predicted_choice, predicted_plan_set,
+    predict_1step, predict_2step, predict_baseline, predict_explicit, predict_krp, predict_stream,
+    predicted_choice,
 };
 
 use std::sync::OnceLock;
 
 use mttkrp_core::ModeCost;
-use mttkrp_parallel::ThreadPool;
 
 /// Roofline machine model (see crate docs).
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -63,14 +62,6 @@ pub struct Machine {
     /// reduction streams at full `BW(T)`; a calibrated profile measures
     /// the real ratio, which barrier overhead drags below 1).
     pub reduce_scale: f64,
-    /// Measured seconds per tensor entry per rank column of the
-    /// matrix-free fused streaming pass (single thread). `None` on the
-    /// paper machine and on profiles recorded before the fused path
-    /// existed: [`predict_fused`] then falls back to a 3-flops/entry
-    /// roofline, and the installed cost model leaves
-    /// [`ModeCost::fused`] unpriced so a `Tuned` plan never selects an
-    /// algorithm the calibration never measured.
-    pub fused_cost: Option<f64>,
 }
 
 impl Machine {
@@ -86,48 +77,7 @@ impl Machine {
             hadamard_cost: 3.0e-9,
             mkl_penalty: 0.35,
             reduce_scale: 1.0,
-            fused_cost: None,
         }
-    }
-
-    /// Model calibrated to this host's measured single-thread GEMM rate
-    /// and STREAM bandwidth, retaining the paper machine's core count
-    /// and scaling curves. Used so EXPERIMENTS.md can report modeled
-    /// times in the same ballpark as host measurements.
-    pub fn calibrated(pool: &ThreadPool) -> Self {
-        let mut m = Self::sandy_bridge_12core();
-        // Measure GEMM rate at a square, cache-friendly size.
-        let n = 384;
-        let a = vec![1.0f64; n * n];
-        let b = vec![1.0f64; n * n];
-        let mut c = vec![0.0f64; n * n];
-        use mttkrp_blas::{gemm, Layout, MatMut, MatRef};
-        let av = MatRef::from_slice(&a, n, n, Layout::ColMajor);
-        let bv = MatRef::from_slice(&b, n, n, Layout::ColMajor);
-        gemm(
-            1.0,
-            av,
-            bv,
-            0.0,
-            MatMut::from_slice(&mut c, n, n, Layout::ColMajor),
-        );
-        let t0 = std::time::Instant::now();
-        gemm(
-            1.0,
-            av,
-            bv,
-            0.0,
-            MatMut::from_slice(&mut c, n, n, Layout::ColMajor),
-        );
-        let dt = t0.elapsed().as_secs_f64();
-        let measured = 2.0 * (n as f64).powi(3) / dt;
-        m.peak_flops_core = measured / m.gemm_eff0;
-
-        // Measure single-thread STREAM Scale bandwidth.
-        let one = ThreadPool::new(1);
-        m.bw1 = mttkrp_blas::stream::measure_scale_bandwidth(&one, 1 << 21, 3);
-        let _ = pool;
-        m
     }
 
     /// Saturating bandwidth at `t` threads (bytes/s).
@@ -257,9 +207,6 @@ pub fn install_machine(m: Machine) -> bool {
         Some(ModeCost {
             one_step: predict_1step(&m, dims, n, c, t).total,
             two_step: predict_2step(&m, dims, n, c, t).total,
-            // Opt-in: only a machine whose calibration measured the
-            // fused pass prices it (see `Machine::fused_cost`).
-            fused: m.fused_cost.map(|_| predict_fused(&m, dims, n, c, t).total),
         })
     }))
 }
@@ -337,14 +284,5 @@ mod tests {
         assert!(m.stream_time(1 << 20, 1) > m.stream_time(1 << 20, 12));
         assert_eq!(m.reduce_time(1000, 1, 4), 0.0);
         assert!(m.reduce_time(1000, 12, 12) > 0.0);
-    }
-
-    #[test]
-    fn calibration_produces_finite_rates() {
-        let pool = ThreadPool::new(1);
-        let m = Machine::calibrated(&pool);
-        assert!(m.peak_flops_core > 1e8 && m.peak_flops_core.is_finite());
-        assert!(m.bw1 > 1e7 && m.bw1.is_finite());
-        assert_eq!(m.cores, 12);
     }
 }

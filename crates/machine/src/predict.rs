@@ -5,8 +5,7 @@
 //! categories, so the harness can print modeled Figure 5/6/8 series
 //! next to measured ones.
 
-use mttkrp_core::{AlgoChoice, Breakdown, MttkrpPlanSet};
-use mttkrp_parallel::ThreadPool;
+use mttkrp_core::{AlgoChoice, Breakdown};
 use mttkrp_tensor::DimInfo;
 
 use crate::Machine;
@@ -106,34 +105,6 @@ pub fn predict_2step(m: &Machine, dims: &[usize], n: usize, c: usize, t: usize) 
     bd
 }
 
-/// Modeled matrix-free fused MTTKRP: one streaming pass over the
-/// tensor entries with on-the-fly Hadamard row products, no
-/// materialized KRP or unfolding. Memory traffic is exactly one tensor
-/// read; compute is the per-entry rank-length fused accumulate plus the
-/// prefix-reuse row product — priced with the calibrated
-/// [`Machine::fused_cost`] coefficient when the profile measured it,
-/// and a 3-flops-per-entry-per-column roofline otherwise.
-pub fn predict_fused(m: &Machine, dims: &[usize], n: usize, c: usize, t: usize) -> Breakdown {
-    let info = DimInfo::new(dims);
-    let total = info.total() as f64;
-    let mut bd = Breakdown::default();
-    let bytes = 8.0 * total;
-    let compute = match m.fused_cost {
-        // Measured seconds per entry per rank column; the pass
-        // parallelizes over disjoint output rows, so compute divides
-        // by the team.
-        Some(fc) => total * c as f64 * fc / t as f64,
-        // ~3 flops per entry per rank column: the fused x·kl·kr
-        // accumulate (2) plus the amortized streaming Hadamard row
-        // product (1).
-        None => 3.0 * total * c as f64 / (m.peak_flops_core * t as f64),
-    };
-    bd.fused = compute.max(bytes / m.bw(t));
-    let _ = n;
-    bd.total = bd.categorized();
-    bd
-}
-
 /// The machine-model override for plan construction: hand
 /// `MttkrpPlan::new` the predicted 1-step and 2-step times of mode `n`
 /// at `t` threads, letting it pick the faster kernel for *this* shape on
@@ -143,19 +114,6 @@ pub fn predicted_choice(m: &Machine, dims: &[usize], n: usize, c: usize, t: usiz
         one_step: predict_1step(m, dims, n, c, t).total,
         two_step: predict_2step(m, dims, n, c, t).total,
     }
-}
-
-/// Plan every mode of a `dims` tensor with the machine-model override —
-/// the model-driven counterpart of `MttkrpPlanSet::new(...,
-/// AlgoChoice::Heuristic)`.
-pub fn predicted_plan_set(
-    m: &Machine,
-    pool: &ThreadPool,
-    dims: &[usize],
-    c: usize,
-) -> MttkrpPlanSet {
-    let t = pool.num_threads();
-    MttkrpPlanSet::with_choices(pool, dims, c, |n| predicted_choice(m, dims, n, c, t))
 }
 
 /// Modeled Algorithm 1 (or naive) KRP time — the Figure 4 series.
@@ -289,24 +247,5 @@ mod tests {
         let a = predict_1step(&m, &dims, 0, C, 4);
         let b = predict_2step(&m, &dims, 0, C, 4);
         assert_eq!(a, b);
-    }
-
-    #[test]
-    fn fused_prediction_scales_and_honors_the_calibrated_term() {
-        let m = machine();
-        let dims = equal_dims(4, 1_000_000);
-        let seq = predict_fused(&m, &dims, 1, C, 1);
-        let par = predict_fused(&m, &dims, 1, C, 12);
-        assert!(seq.total > 0.0 && par.total > 0.0);
-        assert!(par.total < seq.total, "fused pass must scale");
-        assert_eq!(seq.fused, seq.total, "only the fused phase is timed");
-        // A calibrated coefficient replaces the flops roofline: a much
-        // slower measured pass must dominate the memory term.
-        let mut slow = m;
-        slow.fused_cost = Some(1.0e-6);
-        let total = dims.iter().product::<usize>() as f64;
-        let want = total * C as f64 * 1.0e-6;
-        let got = predict_fused(&slow, &dims, 1, C, 1).total;
-        assert!((got - want).abs() < 1e-9 * want, "got {got}, want {want}");
     }
 }

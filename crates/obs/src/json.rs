@@ -8,6 +8,14 @@
 //! those files (and any RFC 8259 document) use. Objects preserve key
 //! order; all numbers are read as `f64` — more than enough precision
 //! for benchmark metrics.
+//!
+//! Nesting is capped at [`MAX_DEPTH`] arrays/objects: the daemon parses
+//! every request line with this reader, and an unbounded recursive
+//! descent would let one line of `[[[[…` overflow the stack.
+
+/// Deepest array/object nesting [`JsonValue::parse`] accepts; deeper
+/// documents are rejected with an error instead of recursing further.
+pub const MAX_DEPTH: usize = 128;
 
 /// A parsed JSON value.
 #[derive(Debug, Clone, PartialEq)]
@@ -32,6 +40,7 @@ impl JsonValue {
         let mut p = Parser {
             bytes: text.as_bytes(),
             pos: 0,
+            depth: 0,
         };
         p.skip_ws();
         let v = p.value()?;
@@ -94,6 +103,8 @@ impl JsonValue {
 struct Parser<'a> {
     bytes: &'a [u8],
     pos: usize,
+    /// Arrays/objects currently open.
+    depth: usize,
 }
 
 impl Parser<'_> {
@@ -136,8 +147,8 @@ impl Parser<'_> {
 
     fn value(&mut self) -> Result<JsonValue, String> {
         match self.peek() {
-            Some(b'{') => self.object(),
-            Some(b'[') => self.array(),
+            Some(b'{') => self.nested(Self::object),
+            Some(b'[') => self.nested(Self::array),
             Some(b'"') => Ok(JsonValue::Str(self.string()?)),
             Some(b't') => self.literal("true", JsonValue::Bool(true)),
             Some(b'f') => self.literal("false", JsonValue::Bool(false)),
@@ -149,6 +160,23 @@ impl Parser<'_> {
                 self.pos
             )),
         }
+    }
+
+    /// Parse one array or object with `inner`, one level deeper.
+    fn nested(
+        &mut self,
+        inner: fn(&mut Self) -> Result<JsonValue, String>,
+    ) -> Result<JsonValue, String> {
+        if self.depth == MAX_DEPTH {
+            return Err(format!(
+                "nesting deeper than {MAX_DEPTH} at byte {}",
+                self.pos
+            ));
+        }
+        self.depth += 1;
+        let v = inner(self);
+        self.depth -= 1;
+        v
     }
 
     fn object(&mut self) -> Result<JsonValue, String> {
@@ -364,6 +392,27 @@ mod tests {
         assert!(JsonValue::parse("{} trailing").is_err());
         assert!(JsonValue::parse("\"open").is_err());
         assert!(JsonValue::parse("01x").is_err());
+    }
+
+    #[test]
+    fn nesting_is_capped_at_max_depth() {
+        // Exactly at the limit still parses, arrays and objects alike.
+        let at = format!("{}{}", "[".repeat(MAX_DEPTH), "]".repeat(MAX_DEPTH));
+        assert!(JsonValue::parse(&at).is_ok());
+        let objs = format!("{}1{}", "{\"a\":".repeat(MAX_DEPTH), "}".repeat(MAX_DEPTH));
+        assert!(JsonValue::parse(&objs).is_ok());
+        // One level more is an error, not a deeper recursion.
+        let over = format!("[{at}]");
+        let e = JsonValue::parse(&over).unwrap_err();
+        assert!(e.contains("nesting"), "{e}");
+        // A hostile line returns an error instead of overflowing the
+        // stack, with or without its closing brackets.
+        let hostile = "[".repeat(200_000);
+        assert!(JsonValue::parse(&hostile).is_err());
+        let closed = format!("{hostile}{}", "]".repeat(200_000));
+        assert!(JsonValue::parse(&closed).is_err());
+        let mixed = "{\"a\":[".repeat(100_000);
+        assert!(JsonValue::parse(&mixed).is_err());
     }
 
     #[test]

@@ -140,7 +140,7 @@ impl PhaseAttribution {
 pub struct ModeAttribution {
     /// Display label (`mode 0`, `all modes`, …).
     pub label: String,
-    /// The algorithm that ran (`OneStepExternal`, `Fused`, …).
+    /// The algorithm that ran (`OneStepExternal`, `TwoStepLeft`, …).
     pub algo: String,
     /// Measured wall seconds of the whole mode.
     pub seconds: f64,
@@ -422,14 +422,14 @@ mod tests {
         let mut r = PerfReport::new();
         r.push_mode(
             "mode 0",
-            "Fused",
+            "TwoStepRight",
             0.2,
-            &[sample("fused_stream", 0.2, 1e9, 3e9)],
+            &[sample("gemv", 0.2, 1e9, 3e9)],
         );
         r.set_advisory("recalibrate");
         let t = r.table();
-        assert!(t.contains("mode 0 [Fused]"), "table:\n{t}");
-        assert!(t.contains("fused_stream"), "table:\n{t}");
+        assert!(t.contains("mode 0 [TwoStepRight]"), "table:\n{t}");
+        assert!(t.contains("gemv"), "table:\n{t}");
         assert!(t.contains("advisory: recalibrate"), "table:\n{t}");
     }
 

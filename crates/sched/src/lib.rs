@@ -28,7 +28,7 @@
 //! The scheduler is deliberately oblivious to tensors: it moves opaque
 //! closures. `mttkrp-parallel` keeps its entire public API and simply
 //! submits its regions here, which is how every existing executor
-//! (dense, sparse CSF, out-of-core, fused) migrated unchanged.
+//! (dense, sparse CSF, out-of-core) migrated unchanged.
 
 mod cancel;
 mod deque;

@@ -142,11 +142,7 @@ pub fn choose_team(dims: &[usize], rank: usize, cap: usize) -> usize {
         let mut sum = 0.0;
         for n in 0..dims.len() {
             let c = tuned_cost(dims, rank, n, t)?;
-            let mut best = c.one_step.min(c.two_step);
-            if let Some(f) = c.fused {
-                best = best.min(f);
-            }
-            sum += best;
+            sum += c.one_step.min(c.two_step);
         }
         Some(sum)
     };

@@ -556,6 +556,16 @@ mod tests {
     }
 
     #[test]
+    fn deeply_nested_request_is_an_error_not_an_abort() {
+        let hostile = "[".repeat(200_000);
+        let e = JobRequest::parse(&hostile).unwrap_err();
+        assert!(e.contains("nesting"), "{e}");
+        // Nesting inside an otherwise valid request is refused too.
+        let spec = format!(r#"{{"op":"status","x":{}}}"#, "[".repeat(200_000));
+        assert!(JobRequest::parse(&spec).is_err());
+    }
+
+    #[test]
     fn events_round_trip_and_escape() {
         let events = [
             JobEvent::Accepted {

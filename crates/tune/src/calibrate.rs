@@ -36,8 +36,7 @@ fn thread_ladder(t: usize) -> Vec<usize> {
 
 /// Calibrate this host: measure the STREAM bandwidth curve over a
 /// thread ladder, the sequential GEMM and Hadamard throughput of every
-/// *supported* kernel tier, the matrix-free fused MTTKRP pass, and the
-/// parallel-reduction efficiency;
+/// *supported* kernel tier, and the parallel-reduction efficiency;
 /// fit the machine-model coefficients ([`measure::fit_bw_theta`]) and
 /// return them as a persistable [`TuningProfile`].
 ///
@@ -88,14 +87,6 @@ pub fn calibrate(opts: &CalibrateOptions) -> TuningProfile {
         measure::reduce_scale(&pool, threads, bw_at_team, opts.quick)
     };
 
-    // The fused pass's inner accumulate is scalar code shared by every
-    // tier, so it is measured once and recorded in each tier section
-    // (the section is where `machine_for` reads it from).
-    let fused = {
-        let _s = mttkrp_obs::span!("fused_cost");
-        measure::fused_cost(opts.quick)
-    };
-
     // Per-tier kernel throughput.
     let tiers = available_tiers()
         .into_iter()
@@ -107,7 +98,6 @@ pub fn calibrate(opts: &CalibrateOptions) -> TuningProfile {
                 gemm_flops: measure::gemm_flops(&ks, opts.quick),
                 gemm_eff0: 0.90,
                 hadamard_cost: measure::hadamard_cost(&ks, opts.quick),
-                fused_cost: Some(fused),
             }
         })
         .collect();
@@ -153,14 +143,11 @@ mod tests {
         let text = p.to_text();
         let q = TuningProfile::from_text(&text).expect("self round trip");
         assert_eq!(p, q);
-        // And produce a usable machine for every measured tier — with
-        // the fused term calibrated, not left at the legacy None.
+        // And produce a usable machine for every measured tier.
         for t in &p.tiers {
             let m = p.machine_for(t.tier);
             assert!(m.peak_flops_core > 0.0);
             assert!(m.hadamard_cost > 0.0);
-            let fc = m.fused_cost.expect("fresh calibrations price fused");
-            assert!(fc.is_finite() && fc > 0.0);
         }
     }
 }

@@ -14,7 +14,6 @@
 use mttkrp_bench::sample_min;
 use mttkrp_blas::{gemm_with, stream::measure_scale_bandwidth, KernelSet, Layout, MatMut, MatRef};
 use mttkrp_parallel::{reduce, ThreadPool};
-use mttkrp_tensor::DenseTensor;
 
 /// Measurement repetitions per microbenchmark.
 const TRIALS: usize = 5;
@@ -68,43 +67,6 @@ pub fn hadamard_cost(ks: &KernelSet, quick: bool) -> f64 {
     });
     std::hint::black_box(&dst);
     dt / (rows * c) as f64
-}
-
-/// Measured per-entry-per-column cost (seconds) of the matrix-free
-/// fused MTTKRP pass at a single thread — the coefficient
-/// `Machine::fused_cost` that the fused predictor scales by
-/// `entries × C / T`. Timed on a real fused execution (an internal
-/// mode of a cubic 3-way tensor, so both KRP row streams are
-/// exercised); the pass's inner accumulate is scalar code shared by
-/// every dispatch tier, so one measurement serves all tier sections.
-pub fn fused_cost(quick: bool) -> f64 {
-    let side = if quick { 24 } else { 64 };
-    let c = HADAMARD_COLS;
-    let dims = [side, side, side];
-    let mut k = 1u64;
-    let x = DenseTensor::from_fn(&dims, || {
-        k = k.wrapping_mul(0x9E3779B97F4A7C15).wrapping_add(1);
-        ((k >> 40) as f64) * 2e-8 - 0.5
-    });
-    let factors: Vec<Vec<f64>> = dims
-        .iter()
-        .map(|&d| (0..d * c).map(|i| 1.0 + (i % 5) as f64 * 0.25).collect())
-        .collect();
-    let refs: Vec<MatRef<f64>> = factors
-        .iter()
-        .zip(&dims)
-        .map(|(f, &d)| MatRef::from_slice(f, d, c, Layout::RowMajor))
-        .collect();
-    let pool = ThreadPool::new(1);
-    let mut out = vec![0.0f64; side * c];
-    // Steady state: the plan (and its per-thread row-stream workspace)
-    // is built once, exactly as CP-ALS holds it across sweeps.
-    let mut plan = mttkrp_core::MttkrpPlan::new(&pool, &dims, c, 1, mttkrp_core::AlgoChoice::Fused);
-    let dt = sample_min(TRIALS, || {
-        plan.execute(&pool, &x, &refs, &mut out);
-    });
-    std::hint::black_box(&out);
-    dt / (x.len() * c) as f64
 }
 
 /// Measured throughput of the parallel element-range reduction
@@ -170,8 +132,6 @@ mod tests {
         assert!(gf.is_finite() && gf > 0.0);
         let h = hadamard_cost(&ks, true);
         assert!(h.is_finite() && h > 0.0 && h < 1e-3);
-        let f = fused_cost(true);
-        assert!(f.is_finite() && f > 0.0 && f < 1e-3);
     }
 
     #[test]

@@ -53,13 +53,6 @@ pub struct TierTuning {
     /// Seconds per element per Hadamard pass in the row-wise KRP
     /// kernels (single thread).
     pub hadamard_cost: f64,
-    /// Seconds per tensor entry per rank column of the matrix-free
-    /// fused MTTKRP pass (single thread). **Optional** in the file
-    /// format: profiles recorded before the fused path existed carry
-    /// no `fused_cost` key and load as `None`, in which case the
-    /// installed cost model never prices (and so never selects) the
-    /// fused algorithm.
-    pub fused_cost: Option<f64>,
 }
 
 /// A calibrated, persistable machine-model coefficient set. See the
@@ -124,7 +117,6 @@ impl TuningProfile {
             hadamard_cost: t.hadamard_cost,
             mkl_penalty: self.mkl_penalty,
             reduce_scale: self.reduce_scale,
-            fused_cost: t.fused_cost,
         }
     }
 
@@ -154,9 +146,6 @@ impl TuningProfile {
             let _ = writeln!(s, "gemm_flops = {:e}", t.gemm_flops);
             let _ = writeln!(s, "gemm_eff0 = {:e}", t.gemm_eff0);
             let _ = writeln!(s, "hadamard_cost = {:e}", t.hadamard_cost);
-            if let Some(fc) = t.fused_cost {
-                let _ = writeln!(s, "fused_cost = {fc:e}");
-            }
         }
         let _ = writeln!(s, "end");
         s
@@ -237,12 +226,13 @@ impl TuningProfile {
         let tiers = tiers
             .into_iter()
             .map(|(tier, bag)| {
+                // Legacy key: accepted when in range, then discarded.
+                bag.f64_optional(LEGACY_TIER_KEY, Positive)?;
                 Ok(TierTuning {
                     tier,
                     gemm_flops: bag.f64_value("gemm_flops", Positive)?,
                     gemm_eff0: bag.f64_value("gemm_eff0", Fraction)?,
                     hadamard_cost: bag.f64_value("hadamard_cost", Positive)?,
-                    fused_cost: bag.f64_optional("fused_cost", Positive)?,
                 })
             })
             .collect::<io::Result<Vec<_>>>()?;
@@ -285,7 +275,6 @@ impl TuningProfile {
     ///         gemm_flops: 6.0e9,
     ///         gemm_eff0: 0.9,
     ///         hadamard_cost: 2.0e-9,
-    ///         fused_cost: Some(1.5e-9),
     ///     }],
     /// };
     /// let path = std::env::temp_dir().join("doctest-profile.tune");
@@ -323,7 +312,11 @@ const GLOBAL_KEYS: [&str; 7] = [
     "mkl_penalty",
     "calib_err",
 ];
-const TIER_KEYS: [&str; 4] = ["gemm_flops", "gemm_eff0", "hadamard_cost", "fused_cost"];
+const TIER_KEYS: [&str; 4] = ["gemm_flops", "gemm_eff0", "hadamard_cost", LEGACY_TIER_KEY];
+/// A tier key older profiles carry (the per-entry cost of a retired
+/// MTTKRP kernel). Still accepted, range-checked, and ignored, so those
+/// profiles keep loading as v1; never written.
+const LEGACY_TIER_KEY: &str = "fused_cost";
 
 /// Range requirement on a parsed float.
 enum FloatRange {
@@ -437,16 +430,12 @@ mod tests {
                     gemm_flops: 7.8e9,
                     gemm_eff0: 0.9,
                     hadamard_cost: 1.2345e-9,
-                    fused_cost: Some(2.5e-9),
                 },
-                // No fused term: the pre-fused profile shape, which
-                // must keep serializing and loading unchanged.
                 TierTuning {
                     tier: KernelTier::Avx2,
                     gemm_flops: 2.34e10,
                     gemm_eff0: 0.9,
                     hadamard_cost: 0.8e-9,
-                    fused_cost: None,
                 },
             ],
         }
@@ -565,35 +554,28 @@ mod tests {
     }
 
     #[test]
-    fn fused_cost_is_optional_and_validated_when_present() {
-        // Only the tier that measured a fused term writes the key.
+    fn legacy_fused_cost_loads_is_validated_and_is_not_written_back() {
         let p = sample();
-        assert_eq!(p.to_text().matches("fused_cost").count(), 1);
-        // A pre-fused profile (no `fused_cost` key anywhere) loads,
-        // with the term absent — and so does its machine.
-        let legacy: String = p
-            .to_text()
-            .lines()
-            .filter(|l| !l.starts_with("fused_cost"))
-            .collect::<Vec<_>>()
-            .join("\n");
+        let text = p.to_text();
+        assert!(!text.contains(LEGACY_TIER_KEY), "writer never emits it");
+        // An older profile carrying the key in a tier section loads to
+        // the same profile, and saving it again drops the key.
+        let hadamard = "hadamard_cost = 1.2345e-9";
+        let legacy = text.replacen(hadamard, &format!("{hadamard}\nfused_cost = 2.5e-9"), 1);
+        assert_ne!(legacy, text);
         let q = TuningProfile::from_text(&legacy).expect("legacy profiles still load");
-        assert!(q.tiers.iter().all(|t| t.fused_cost.is_none()));
-        assert_eq!(q.machine_for(KernelTier::Scalar).fused_cost, None);
-        // When present the key obeys the same range rules as the rest.
-        let broken = p
-            .to_text()
-            .replacen("fused_cost = 2.5e-9", "fused_cost = -1.0", 1);
+        assert_eq!(q, p);
+        assert_eq!(q.to_text(), text, "re-saved bytes carry no legacy key");
+        // When present the key still obeys its range and duplicate rules.
+        let broken = text.replacen(hadamard, &format!("{hadamard}\nfused_cost = -1.0"), 1);
         assert!(TuningProfile::from_text(&broken).is_err());
-        let dup = p.to_text().replacen(
+        let dup = legacy.replacen(
             "fused_cost = 2.5e-9",
             "fused_cost = 2.5e-9\nfused_cost = 2.5e-9",
             1,
         );
         let e = TuningProfile::from_text(&dup).unwrap_err();
         assert!(e.to_string().contains("duplicate"), "{e}");
-        // And a calibrated term flows through to the priced machine.
-        assert_eq!(p.machine_for(KernelTier::Scalar).fused_cost, Some(2.5e-9));
     }
 
     #[test]

@@ -14,7 +14,7 @@
 //! * GEMM uses the measured `blas.gemm_bytes.<tier>` counter when the
 //!   caller snapshotted it (falling back to the analytic operand
 //!   traffic) against the tier's `gemm_flops / gemm_eff0` peak;
-//! * the multi-TTV, fused-stream, and reduction phases stream
+//! * the multi-TTV and reduction phases stream
 //!   tensor-sized or output-sized traffic against `BW(T)` (the
 //!   reduction against `BW(T)·reduce_scale`).
 //!
@@ -204,17 +204,6 @@ pub fn perf_report_with(
                 flop_roof: peak * 0.25,
             });
         }
-        if bd.fused > 0.0 {
-            let fused_roof = m.fused_cost.map_or(peak, |fc| 3.0 * sh.t / fc);
-            samples.push(PhaseSample {
-                name: "fused".into(),
-                seconds: bd.fused,
-                bytes: reps * sh.total * sh.s,
-                flops: reps * 3.0 * sh.total * sh.c,
-                bw_roof: bw,
-                flop_roof: fused_roof,
-            });
-        }
         if bd.reduce > 0.0 {
             // Read T private outputs, write the merged one, at the
             // measured reduction efficiency.
@@ -284,7 +273,6 @@ mod tests {
                 gemm_flops: 9e9,
                 gemm_eff0: 0.9,
                 hadamard_cost: 1e-9,
-                fused_cost: Some(2e-9),
             }],
         }
     }
@@ -397,7 +385,6 @@ mod tests {
         let predicted = Some(ModeCost {
             one_step: 0.033,
             two_step: 0.05,
-            fused: None,
         });
         let runs: Vec<ModeRun> = (0..6)
             .map(|i| {
@@ -426,7 +413,6 @@ mod tests {
                 r.predicted = Some(ModeCost {
                     one_step: 0.011,
                     two_step: 0.05,
-                    fused: None,
                 });
                 r
             })
@@ -444,35 +430,21 @@ mod tests {
     }
 
     #[test]
-    fn fused_and_two_step_phases_use_their_own_roofs() {
-        let runs = [
-            ModeRun {
-                mode: 1,
-                algo: PlannedAlgo::TwoStepLeft,
-                predicted: None,
-                runs: 2,
-                breakdown: Breakdown {
-                    lr_krp: 0.002,
-                    dgemm: 0.004,
-                    dgemv: 0.003,
-                    total: 0.009,
-                    ..Default::default()
-                },
-                gemm_bytes: None,
+    fn two_step_phases_use_their_own_roofs() {
+        let runs = [ModeRun {
+            mode: 1,
+            algo: PlannedAlgo::TwoStepLeft,
+            predicted: None,
+            runs: 2,
+            breakdown: Breakdown {
+                lr_krp: 0.002,
+                dgemm: 0.004,
+                dgemv: 0.003,
+                total: 0.009,
+                ..Default::default()
             },
-            ModeRun {
-                mode: 2,
-                algo: PlannedAlgo::Fused,
-                predicted: None,
-                runs: 1,
-                breakdown: Breakdown {
-                    fused: 0.008,
-                    total: 0.008,
-                    ..Default::default()
-                },
-                gemm_bytes: None,
-            },
-        ];
+            gemm_bytes: None,
+        }];
         let r = perf_report_with(
             &profile(),
             &[48, 48, 48],
@@ -482,16 +454,15 @@ mod tests {
             KernelTier::Scalar,
             &runs,
         );
-        assert_eq!(r.modes().len(), 2);
+        assert_eq!(r.modes().len(), 1);
         let two = &r.modes()[0];
         let names: Vec<&str> = two.phases.iter().map(|p| p.name.as_str()).collect();
         assert_eq!(names, ["lr_krp", "gemm", "gemv"]);
-        let fused = &r.modes()[1];
-        assert_eq!(fused.algo, "Fused");
-        assert_eq!(fused.phases.len(), 1);
-        assert!(fused.phases[0].pct_of_roof.is_finite());
+        for p in &two.phases {
+            assert!(p.pct_of_roof.is_finite() && p.pct_of_roof > 0.0, "{p:?}");
+        }
         // The table and envelope render end to end.
-        assert!(r.table().contains("mode 2 [Fused]"));
+        assert!(r.table().contains("mode 1 [TwoStepLeft]"));
         assert!(r.to_json().contains("\"schema\": \"mttkrp-perf-v1\""));
     }
 }

@@ -34,8 +34,6 @@ fn random_profile(rng: &mut Rng64) -> TuningProfile {
             gemm_flops: pos_in(rng, 1e8, 1e12),
             gemm_eff0: 0.05 + 0.95 * rng.next_f64(),
             hadamard_cost: pos_in(rng, 1e-11, 1e-7),
-            // The key is optional: exercise both shapes.
-            fused_cost: (rng.next_f64() < 0.5).then(|| pos_in(rng, 1e-11, 1e-7)),
         })
         .collect();
     TuningProfile {

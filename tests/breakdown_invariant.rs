@@ -22,8 +22,8 @@
 
 use mttkrp_repro::blas::{Layout, MatRef};
 use mttkrp_repro::mttkrp::{
-    mttkrp_1step_timed, mttkrp_2step_timed, mttkrp_explicit_timed, mttkrp_fused_timed, AlgoChoice,
-    Breakdown, MttkrpPlan, TwoStepSide,
+    mttkrp_1step_timed, mttkrp_2step_timed, mttkrp_explicit_timed, AlgoChoice, Breakdown,
+    MttkrpPlan, TwoStepSide,
 };
 use mttkrp_repro::parallel::ThreadPool;
 use mttkrp_repro::rng::Rng64;
@@ -79,18 +79,10 @@ fn sweep(pool: &ThreadPool, slack: f64, tag: &str) {
             assert_accounted(&bd, slack, &format!("{tag} 2step n={n}"));
         }
 
-        let bd = mttkrp_fused_timed(pool, &x, &refs, n, &mut out);
-        assert_accounted(&bd, slack, &format!("{tag} fused n={n}"));
-        assert!(
-            bd.fused > 0.0,
-            "{tag} fused n={n}: the fused phase must be categorized"
-        );
-
         for choice in [
             AlgoChoice::Heuristic,
             AlgoChoice::OneStep,
             AlgoChoice::TwoStep(TwoStepSide::Auto),
-            AlgoChoice::Fused,
         ] {
             let mut plan = MttkrpPlan::new(pool, &dims, c, n, choice);
             let bd = plan.execute_timed(pool, &x, &refs, &mut out);
@@ -125,11 +117,7 @@ fn parallel_breakdowns_stay_accounted() {
         .collect();
     for n in 0..dims.len() {
         let mut out = vec![0.0; dims[n] * c];
-        for choice in [
-            AlgoChoice::OneStep,
-            AlgoChoice::TwoStep(TwoStepSide::Auto),
-            AlgoChoice::Fused,
-        ] {
+        for choice in [AlgoChoice::OneStep, AlgoChoice::TwoStep(TwoStepSide::Auto)] {
             if matches!(choice, AlgoChoice::TwoStep(_)) && (n == 0 || n == dims.len() - 1) {
                 continue;
             }

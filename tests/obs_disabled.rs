@@ -55,11 +55,7 @@ fn disabled_observability_is_free() {
     let pool = ThreadPool::new(1);
 
     for n in 0..dims.len() {
-        for choice in [
-            AlgoChoice::OneStep,
-            AlgoChoice::TwoStep(TwoStepSide::Auto),
-            AlgoChoice::Fused,
-        ] {
+        for choice in [AlgoChoice::OneStep, AlgoChoice::TwoStep(TwoStepSide::Auto)] {
             let mut plan = MttkrpPlan::new(&pool, &dims, c, n, choice);
             let mut out = vec![0.0; dims[n] * c];
             // Warm up the plan's lazily grown buffers, then drain any

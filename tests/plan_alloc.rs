@@ -50,7 +50,6 @@ fn steady_state_plan_execution_does_not_allocate() {
             AlgoChoice::Heuristic,
             AlgoChoice::OneStep,
             AlgoChoice::TwoStep(TwoStepSide::Auto),
-            AlgoChoice::Fused,
         ] {
             let mut plan = MttkrpPlan::new(&pool, &dims, c, n, choice);
             let mut out = vec![0.0; dims[n] * c];
@@ -107,11 +106,7 @@ fn steady_state_f32_plan_execution_does_not_allocate() {
     let pool = ThreadPool::new(1);
 
     for n in 0..dims.len() {
-        for choice in [
-            AlgoChoice::OneStep,
-            AlgoChoice::TwoStep(TwoStepSide::Auto),
-            AlgoChoice::Fused,
-        ] {
+        for choice in [AlgoChoice::OneStep, AlgoChoice::TwoStep(TwoStepSide::Auto)] {
             let mut plan = MttkrpPlan::<f32>::new(&pool, &dims, c, n, choice);
             let mut out = vec![0.0f32; dims[n] * c];
             plan.execute(&pool, &x, &frefs, &mut out);

@@ -59,11 +59,7 @@ fn dense_planned_mttkrp_bitwise_stable_across_worker_counts() {
         let factors = factors_for(&dims, c, &mut rng);
         let refs = refs_of(&factors, &dims, c);
         for n in 0..dims.len() {
-            let mut choices = vec![
-                AlgoChoice::Heuristic,
-                AlgoChoice::OneStep,
-                AlgoChoice::Fused,
-            ];
+            let mut choices = vec![AlgoChoice::Heuristic, AlgoChoice::OneStep];
             if n > 0 && n < dims.len() - 1 {
                 choices.push(AlgoChoice::TwoStep(TwoStepSide::Left));
                 choices.push(AlgoChoice::TwoStep(TwoStepSide::Right));

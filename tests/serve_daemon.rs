@@ -1,8 +1,9 @@
 //! End-to-end battery for the `tensorcpd` daemon over a Unix socket:
 //! concurrent mixed-format jobs finish with *exactly* the fits a direct
 //! in-process CP-ALS run produces, cancellation hands the freed slot to
-//! a queued job, and a full admission queue rejects with 429-style
-//! backpressure.
+//! a queued job, a full admission queue rejects with 429-style
+//! backpressure, and a hostile request line is refused without harming
+//! other tenants.
 #![cfg(unix)]
 
 use std::io::{BufRead, BufReader, Write};
@@ -41,9 +42,12 @@ impl Client {
     }
 
     fn send(&mut self, req: &JobRequest) {
-        let mut line = req.to_json();
-        line.push('\n');
+        self.send_raw(&req.to_json());
+    }
+
+    fn send_raw(&mut self, line: &str) {
         self.writer.write_all(line.as_bytes()).expect("send");
+        self.writer.write_all(b"\n").expect("send");
     }
 
     fn next_event(&mut self) -> JobEvent {
@@ -359,6 +363,51 @@ fn full_queue_rejects_with_backpressure() {
     let mut c2 = Client::connect(&sock);
     let fits = run_to_done(&mut c2, "c", spec(&dir, "x.mtkt", Format::Dense, ITERS, 3));
     assert_eq!(fits.len(), ITERS);
+    server.stop();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A request line of 200,000 `[` would overflow an unbounded recursive
+/// parser's stack and abort the daemon for every tenant. It must be
+/// answered with a 400 rejection on its own connection, and a job on
+/// another connection must still finish with the in-process fit.
+#[test]
+fn hostile_nesting_is_rejected_and_other_tenants_are_unharmed() {
+    let dir = fresh_dir("hostile");
+    let x = write_workloads(&dir);
+    let want = reference_fits(&x, &DIMS, 21);
+    let (mut server, sock) = start(
+        &dir,
+        AdmissionConfig {
+            max_active: 1,
+            queue_cap: 1,
+        },
+    );
+
+    let mut hostile = Client::connect(&sock);
+    hostile.send_raw(&"[".repeat(200_000));
+    match hostile.next_event() {
+        JobEvent::Rejected { code, reason, .. } => {
+            assert_eq!(code, 400, "malformed requests are 400-style");
+            assert!(reason.contains("nesting"), "{reason}");
+        }
+        other => panic!("hostile: unexpected event {other:?}"),
+    }
+    // The hostile connection itself is still served.
+    hostile.send(&JobRequest::Status);
+    assert!(matches!(hostile.next_event(), JobEvent::Status { .. }));
+
+    let mut tenant = Client::connect(&sock);
+    let fits = run_to_done(
+        &mut tenant,
+        "after",
+        spec(&dir, "x.mtkt", Format::Dense, ITERS, 21),
+    );
+    assert_eq!(
+        fits.last().unwrap().to_bits(),
+        want.last().unwrap().to_bits(),
+        "final_fit must equal the in-process run"
+    );
     server.stop();
     std::fs::remove_dir_all(&dir).ok();
 }

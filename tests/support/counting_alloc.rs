@@ -1,5 +1,6 @@
 //! Shared counting-allocator harness for the allocation-accounting
-//! test binaries (`plan_alloc.rs`, `sparse_plan_alloc.rs`), included
+//! test binaries (`plan_alloc.rs`, `sparse_plan_alloc.rs`,
+//! `cpals_alloc.rs`, `cpals_alloc_evd.rs`, `obs_disabled.rs`), included
 //! via `#[path]` so each binary installs its own `#[global_allocator]`
 //! while the hook logic has a single definition. (Files under
 //! `tests/support/` are not test targets themselves.)
@@ -10,32 +11,36 @@
 //! its traffic to the kernel under test. The single-thread pools used
 //! by these tests run the executors inline on the measuring thread, so
 //! a thread-local flag captures exactly the kernel's own allocations.
+//!
+//! The counters are thread-local too: libtest runs a binary's tests on
+//! concurrent threads, and process-global counters would let one
+//! test's [`counted`] reset and read another's traffic.
 
 use std::alloc::{GlobalAlloc, Layout as AllocLayout, System};
 use std::cell::Cell;
-use std::sync::atomic::{AtomicU64, Ordering};
 
 pub struct CountingAlloc;
 
 thread_local! {
-    // Const-initialized so reading it from the allocator hook never
+    // Const-initialized so touching them from the allocator hook never
     // itself allocates.
     static COUNTING: Cell<bool> = const { Cell::new(false) };
+    static ALLOC_CALLS: Cell<u64> = const { Cell::new(0) };
+    static ALLOC_BYTES: Cell<u64> = const { Cell::new(0) };
 }
-static ALLOC_CALLS: AtomicU64 = AtomicU64::new(0);
-static ALLOC_BYTES: AtomicU64 = AtomicU64::new(0);
 
-fn counting_here() -> bool {
+/// Charge one allocation of `bytes` to this thread, if it is counting.
+fn record(bytes: usize) {
     // try_with: the hook can run during TLS teardown.
-    COUNTING.try_with(Cell::get).unwrap_or(false)
+    if COUNTING.try_with(Cell::get).unwrap_or(false) {
+        ALLOC_CALLS.with(|c| c.set(c.get() + 1));
+        ALLOC_BYTES.with(|b| b.set(b.get() + bytes as u64));
+    }
 }
 
 unsafe impl GlobalAlloc for CountingAlloc {
     unsafe fn alloc(&self, layout: AllocLayout) -> *mut u8 {
-        if counting_here() {
-            ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-            ALLOC_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
-        }
+        record(layout.size());
         unsafe { System.alloc(layout) }
     }
 
@@ -44,24 +49,18 @@ unsafe impl GlobalAlloc for CountingAlloc {
     }
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: AllocLayout, new_size: usize) -> *mut u8 {
-        if counting_here() {
-            ALLOC_CALLS.fetch_add(1, Ordering::Relaxed);
-            ALLOC_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
-        }
+        record(new_size);
         unsafe { System.realloc(ptr, layout, new_size) }
     }
 }
 
-/// Run `f` with this thread's allocation counting enabled; returns
-/// (calls, bytes).
+/// Run `f` with this thread's allocation counting enabled; returns the
+/// (calls, bytes) this thread allocated inside `f`.
 pub fn counted(f: impl FnOnce()) -> (u64, u64) {
-    ALLOC_CALLS.store(0, Ordering::SeqCst);
-    ALLOC_BYTES.store(0, Ordering::SeqCst);
+    ALLOC_CALLS.with(|c| c.set(0));
+    ALLOC_BYTES.with(|b| b.set(0));
     COUNTING.with(|c| c.set(true));
     f();
     COUNTING.with(|c| c.set(false));
-    (
-        ALLOC_CALLS.load(Ordering::SeqCst),
-        ALLOC_BYTES.load(Ordering::SeqCst),
-    )
+    (ALLOC_CALLS.with(Cell::get), ALLOC_BYTES.with(Cell::get))
 }

@@ -66,18 +66,16 @@ fn installed_profile_drives_every_plan_layer() {
     let mut log = ChoiceLog::new();
     for n in 0..dims.len() {
         let mut plan = MttkrpPlan::new(&pool, &dims, c, n, AlgoChoice::Tuned);
-        let resolved = plan.choice();
-        assert!(
-            matches!(resolved, AlgoChoice::Predicted { .. } | AlgoChoice::Fused),
-            "mode {n}: Tuned must resolve through the installed model, got {resolved:?}"
-        );
+        let AlgoChoice::Predicted { one_step, two_step } = plan.choice() else {
+            panic!(
+                "mode {n}: Tuned must resolve to Predicted through the installed model, got {:?}",
+                plan.choice()
+            );
+        };
         let p = plan.predicted_times().expect("predicted times recorded");
+        assert_eq!((p.one_step, p.two_step), (one_step, two_step));
         assert!(p.one_step.is_finite() && p.one_step > 0.0);
         assert!(p.two_step.is_finite() && p.two_step > 0.0);
-        if matches!(resolved, AlgoChoice::Fused) {
-            let f = p.fused.expect("a fused resolution implies a fused term");
-            assert!(f.is_finite() && f > 0.0 && f < p.one_step.min(p.two_step));
-        }
         let mut want = vec![0.0; dims[n] * c];
         mttkrp_oracle(&x, &refs, n, &mut want);
         let mut got = vec![f64::NAN; dims[n] * c];

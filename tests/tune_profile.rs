@@ -22,14 +22,12 @@ fn sample_profile() -> TuningProfile {
                 gemm_flops: 8.93610600462515e9,
                 gemm_eff0: 0.9,
                 hadamard_cost: 6.5925537109375e-10,
-                fused_cost: Some(1.847265625e-9),
             },
             TierTuning {
                 tier: KernelTier::Avx512,
                 gemm_flops: 2.90807225716591e10,
                 gemm_eff0: 0.9,
                 hadamard_cost: 7.77425537109375e-10,
-                fused_cost: None,
             },
         ],
     }
