@@ -98,11 +98,6 @@ pub fn sample_stats(samples: usize, mut f: impl FnMut()) -> SampleStats {
     }
 }
 
-/// Median wall time of `samples` measured calls of `f` (one warm-up).
-pub fn sample_median(samples: usize, f: impl FnMut()) -> f64 {
-    sample_stats(samples, f).median
-}
-
 /// Fastest wall time of `samples` measured calls of `f` (one warm-up).
 pub fn sample_min(samples: usize, f: impl FnMut()) -> f64 {
     sample_stats(samples, f).min

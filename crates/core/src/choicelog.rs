@@ -310,14 +310,11 @@ impl ChoiceLog {
     /// (`mttkrp-choices-v1`) — what `mttkrp-harness --choices-out`
     /// writes after an accuracy sweep.
     pub fn to_json(&self) -> String {
+        use mttkrp_obs::json::number;
         use std::fmt::Write as _;
 
-        fn opt(v: Option<f64>) -> String {
-            match v {
-                Some(v) if v.is_finite() => format!("{v:e}"),
-                _ => "null".to_string(),
-            }
-        }
+        // An absent value renders as `null`, like a non-finite one.
+        let opt = |v: Option<f64>| number(v.unwrap_or(f64::NAN));
 
         let mut s = String::from("{\n  \"schema\": \"mttkrp-choices-v1\",\n");
         let _ = writeln!(s, "  \"agreement\": {},", opt(self.agreement()));
@@ -348,8 +345,8 @@ impl ChoiceLog {
                     let _ = write!(
                         s,
                         "{{\"one_step\": {}, \"two_step\": {}}}",
-                        opt(Some(p.one_step)),
-                        opt(Some(p.two_step))
+                        number(p.one_step),
+                        number(p.two_step)
                     );
                 }
                 None => s.push_str("null"),
@@ -357,7 +354,7 @@ impl ChoiceLog {
             let _ = write!(
                 s,
                 ", \"measured\": {}, \"measured_other\": {}, \"fastest\": {}}}{}",
-                opt(Some(r.measured)),
+                number(r.measured),
                 opt(r.measured_other),
                 match r.choice_was_fastest() {
                     Some(b) => b.to_string(),

@@ -7,7 +7,7 @@
 //! through [`gemm_with`] so the O(n³) work runs on the SIMD kernel
 //! tiers. At the rank × rank sizes of the CP-ALS Gram solves the panel
 //! often *is* the whole matrix; the blocking pays off at the larger
-//! sizes the EVD path and the `pr8_linalg` bench exercise.
+//! sizes of the EVD path.
 //!
 //! Only the **lower** triangle of the input is read; on return the
 //! lower triangle holds `L` with `A = L·Lᵀ` and the strict upper

@@ -19,26 +19,8 @@ use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
 
+use crate::json::escape;
 use crate::trace::{dropped_spans, take_spans, thread_names, SpanRecord};
-
-/// Escape a string for a JSON string literal.
-pub(crate) fn escape(s: &str) -> String {
-    let mut out = String::with_capacity(s.len());
-    for ch in s.chars() {
-        match ch {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            '\n' => out.push_str("\\n"),
-            '\r' => out.push_str("\\r"),
-            '\t' => out.push_str("\\t"),
-            c if (c as u32) < 0x20 => {
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-    out
-}
 
 /// Render spans as a chrome-trace (Trace Event Format) JSON document.
 ///

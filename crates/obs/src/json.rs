@@ -1,17 +1,52 @@
-//! A minimal in-tree JSON reader.
+//! The workspace's one JSON reader and its two writer primitives.
 //!
-//! The workspace has a zero-external-dependency policy, and until now
-//! every JSON producer in the tree only ever *wrote* JSON. The
-//! bench-diff gate ([`crate::report::BenchDiff`]) needs to read the
-//! committed `mttkrp-bench-v1` trajectory files back, so this module
-//! provides a small recursive-descent parser over the JSON subset
-//! those files (and any RFC 8259 document) use. Objects preserve key
-//! order; all numbers are read as `f64` — more than enough precision
-//! for benchmark metrics.
+//! The workspace has a zero-external-dependency policy, so there is no
+//! serde. The `tensorcpd` daemon (`mttkrp-serve`) reads every
+//! `mttkrp-jobs-v1` request line, and its clients read the event lines
+//! back, so this module provides a small recursive-descent parser for
+//! RFC 8259 documents. Objects preserve key order; all numbers are read
+//! as `f64`, so integers are exact only below 2^53.
+//!
+//! Every JSON producer in the tree (trace exporters, the
+//! `mttkrp-perf-v1` and `mttkrp-choices-v1` envelopes, the job
+//! protocol) writes strings through [`escape`] and floats through
+//! [`number`], so they share one escaping and one non-finite policy.
 //!
 //! Nesting is capped at [`MAX_DEPTH`] arrays/objects: the daemon parses
 //! every request line with this reader, and an unbounded recursive
 //! descent would let one line of `[[[[…` overflow the stack.
+
+use std::fmt::Write as _;
+
+/// Escape a string for the inside of a JSON string literal (the caller
+/// adds the quotes). Control characters become `\uXXXX` escapes.
+pub fn escape(s: &str) -> String {
+    let mut out = String::with_capacity(s.len());
+    for ch in s.chars() {
+        match ch {
+            '"' => out.push_str("\\\""),
+            '\\' => out.push_str("\\\\"),
+            '\n' => out.push_str("\\n"),
+            '\r' => out.push_str("\\r"),
+            '\t' => out.push_str("\\t"),
+            c if (c as u32) < 0x20 => {
+                let _ = write!(out, "\\u{:04x}", c as u32);
+            }
+            c => out.push(c),
+        }
+    }
+    out
+}
+
+/// A float as a JSON number: `{:e}`, which round-trips every finite
+/// `f64` exactly, or `null` for NaN and ±∞, which JSON cannot express.
+pub fn number(v: f64) -> String {
+    if v.is_finite() {
+        format!("{v:e}")
+    } else {
+        "null".to_string()
+    }
+}
 
 /// Deepest array/object nesting [`JsonValue::parse`] accepts; deeper
 /// documents are rejected with an error instead of recursing further.
@@ -355,11 +390,14 @@ mod tests {
     #[test]
     fn parses_nested_document_preserving_key_order() {
         let doc = JsonValue::parse(
-            r#"{"schema": "mttkrp-bench-v1", "pr": 9, "rows": [{"mode": 0, "gb_per_s": 1.25e1, "ok": true}, {"mode": 1, "gb_per_s": 8.0, "ok": false}], "note": null}"#,
+            r#"{"schema": "mttkrp-example-v1", "version": 9, "rows": [{"mode": 0, "gb_per_s": 1.25e1, "ok": true}, {"mode": 1, "gb_per_s": 8.0, "ok": false}], "note": null}"#,
         )
         .unwrap();
-        assert_eq!(doc.get("schema").unwrap().as_str(), Some("mttkrp-bench-v1"));
-        assert_eq!(doc.get("pr").unwrap().as_f64(), Some(9.0));
+        assert_eq!(
+            doc.get("schema").unwrap().as_str(),
+            Some("mttkrp-example-v1")
+        );
+        assert_eq!(doc.get("version").unwrap().as_f64(), Some(9.0));
         let rows = doc.get("rows").unwrap().as_arr().unwrap();
         assert_eq!(rows.len(), 2);
         assert_eq!(rows[1].get("gb_per_s").unwrap().as_f64(), Some(8.0));
@@ -370,7 +408,7 @@ mod tests {
             .iter()
             .map(|(k, _)| k.as_str())
             .collect();
-        assert_eq!(keys, ["schema", "pr", "rows", "note"]);
+        assert_eq!(keys, ["schema", "version", "rows", "note"]);
     }
 
     #[test]
@@ -416,17 +454,22 @@ mod tests {
     }
 
     #[test]
-    fn round_trips_a_bench_report() {
-        use crate::report::BenchReport;
-        let mut r = BenchReport::new(9);
-        r.scalar("threads", 8u64);
-        r.row("mttkrp")
-            .field("dtype", "f64")
-            .field("mode", 0u64)
-            .field("gb_per_s", 12.5);
-        let doc = JsonValue::parse(&r.to_json()).expect("BenchReport output must parse");
-        assert_eq!(doc.get("schema").unwrap().as_str(), Some("mttkrp-bench-v1"));
-        let rows = doc.get("mttkrp").unwrap().as_arr().unwrap();
-        assert_eq!(rows[0].get("gb_per_s").unwrap().as_f64(), Some(12.5));
+    fn written_strings_and_numbers_round_trip() {
+        for s in ["plain", "a\"b\\c\nd", "tab\there\r", "\u{1}\u{1f}", "é😀"] {
+            let doc = format!("\"{}\"", escape(s));
+            assert_eq!(JsonValue::parse(&doc).unwrap().as_str(), Some(s), "{doc}");
+        }
+        for v in [0.0, -1.5, 0.1, 1e-300, f64::MAX, f64::MIN_POSITIVE, 12.5] {
+            let back = JsonValue::parse(&number(v)).unwrap().as_f64().unwrap();
+            assert_eq!(back.to_bits(), v.to_bits(), "{v:e}");
+        }
+    }
+
+    #[test]
+    fn non_finite_numbers_become_null() {
+        for v in [f64::NAN, f64::INFINITY, f64::NEG_INFINITY] {
+            assert_eq!(number(v), "null");
+        }
+        assert_eq!(number(12.5), "1.25e1");
     }
 }

@@ -1,6 +1,6 @@
 //! Unified observability for the MTTKRP workspace: tracing spans, a
-//! process-wide metrics registry, trace exporters, and the bench
-//! trajectory reporter.
+//! process-wide metrics registry, trace exporters, roofline
+//! attribution, and the JSON reader/writer they share.
 //!
 //! Everything here is **compiled in and runtime-gated**, with the
 //! disabled path costing a single relaxed atomic load per site:
@@ -20,11 +20,6 @@
 //!   by the [`counter!`](crate::counter), [`gauge!`](crate::gauge) and
 //!   [`histogram!`](crate::histogram) macros so the record path is a
 //!   bare relaxed atomic op.
-//! * **Bench reports** ([`report`]) — [`BenchReport`] writes the
-//!   schema-versioned `BENCH_pr<N>.json` trajectory files, and
-//!   [`BenchDiff`] reads two of them back (through the in-tree
-//!   [`json`] parser) and gates on relative regressions — the engine
-//!   of the `bench-diff` CLI and the CI `perf-gate` leg.
 //! * **Roofline attribution** ([`roofline`]) — [`PerfReport`] folds
 //!   measured phase seconds, byte/flop estimates, and machine roofs
 //!   into percent-of-roof and bandwidth-vs-compute verdicts per phase
@@ -44,7 +39,6 @@
 pub mod export;
 pub mod json;
 pub mod metrics;
-pub mod report;
 pub mod roofline;
 pub mod trace;
 
@@ -54,7 +48,6 @@ pub use metrics::{
     metrics_enabled, registry, render_prometheus, set_metrics_enabled, Counter, Gauge, Histogram,
     Registry,
 };
-pub use report::{BenchDiff, BenchReport, BenchValue, DiffEntry, MetricClass, RowBuilder};
 pub use roofline::{Bound, ModeAttribution, PerfReport, PhaseAttribution, PhaseSample};
 pub use trace::{
     dropped_spans, set_trace_level, take_spans, thread_names, trace_level, SpanGuard, SpanRecord,

@@ -24,7 +24,7 @@ use std::fmt::Write as _;
 use std::io;
 use std::path::Path;
 
-use crate::export::escape;
+use crate::json::{escape, number};
 
 /// Which roofline term dominates a phase or mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -273,13 +273,6 @@ impl PerfReport {
 
     /// Render the `mttkrp-perf-v1` JSON envelope.
     pub fn to_json(&self) -> String {
-        fn num(v: f64) -> String {
-            if v.is_finite() {
-                format!("{v:e}")
-            } else {
-                "null".to_string()
-            }
-        }
         let mut s = String::from("{\n");
         let _ = writeln!(s, "  \"schema\": \"{}\",", Self::SCHEMA);
         s.push_str("  \"context\": {");
@@ -302,9 +295,9 @@ impl PerfReport {
                 "\n    {{\"label\": \"{}\", \"algo\": \"{}\", \"seconds\": {}, \"bound\": \"{}\", \"pct_of_roof\": {}, \"phases\": [",
                 escape(&m.label),
                 escape(&m.algo),
-                num(m.seconds),
+                number(m.seconds),
                 m.bound.name(),
-                num(m.pct_of_roof)
+                number(m.pct_of_roof)
             );
             for (j, p) in m.phases.iter().enumerate() {
                 let pc = if j + 1 < m.phases.len() { "," } else { "" };
@@ -312,12 +305,12 @@ impl PerfReport {
                     s,
                     "\n      {{\"name\": \"{}\", \"seconds\": {}, \"achieved_gb_per_s\": {}, \"achieved_gflop_per_s\": {}, \"bw_roof_gb_per_s\": {}, \"flop_roof_gflop_per_s\": {}, \"pct_of_roof\": {}, \"bound\": \"{}\"}}{pc}",
                     escape(&p.name),
-                    num(p.seconds),
-                    num(p.achieved_gb_per_s),
-                    num(p.achieved_gflop_per_s),
-                    num(p.bw_roof_gb_per_s),
-                    num(p.flop_roof_gflop_per_s),
-                    num(p.pct_of_roof),
+                    number(p.seconds),
+                    number(p.achieved_gb_per_s),
+                    number(p.achieved_gflop_per_s),
+                    number(p.bw_roof_gb_per_s),
+                    number(p.flop_roof_gflop_per_s),
+                    number(p.pct_of_roof),
                     p.bound.name()
                 );
             }

@@ -20,5 +20,5 @@ pub mod protocol;
 pub mod server;
 
 pub use admission::{choose_team, Admission, AdmissionConfig, Offer};
-pub use protocol::{FactorPayload, Format, JobEvent, JobRequest, JobSpec, PROTOCOL};
-pub use server::{Bind, Server, ServerConfig};
+pub use protocol::{FactorPayload, Format, JobEvent, JobRequest, JobSpec, MAX_RANK, PROTOCOL};
+pub use server::{Bind, Server, ServerConfig, MAX_LINE_BYTES};

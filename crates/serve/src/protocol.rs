@@ -7,13 +7,24 @@
 //!
 //! Parsing reuses the in-tree [`JsonValue`] parser from `mttkrp-obs`
 //! (the repo builds without a crate registry, so no serde);
-//! serialization is hand-rolled through [`JsonOut`], with the same
-//! non-finite policy as the bench schema (NaN/∞ become `null`).
+//! serialization is hand-rolled through [`JsonOut`] on the same
+//! module's `escape` and `number` writers (NaN/∞ become `null`).
 
+use mttkrp_obs::json::{escape, number};
 use mttkrp_obs::JsonValue;
 
 /// Protocol identifier carried in every request's `"v"` field.
 pub const PROTOCOL: &str = "mttkrp-jobs-v1";
+
+/// Largest `spec.rank` a submit may ask for. The factor matrices are
+/// allocated before the tensor is touched, so an unbounded rank could
+/// request more memory than the host has and abort the daemon.
+pub const MAX_RANK: usize = 4096;
+
+/// 2^53: JSON numbers are read as `f64`, which holds every integer
+/// below this exactly and rounds some above it, so integer fields at or
+/// above it are refused rather than silently changed.
+const MAX_EXACT_INT: f64 = 9_007_199_254_740_992.0;
 
 /// Storage format of a submitted tensor (selects the backend).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -99,8 +110,10 @@ fn opt_f64(v: &JsonValue, key: &str) -> Option<f64> {
 fn opt_usize(v: &JsonValue, key: &str, default: usize) -> Result<usize, String> {
     match opt_f64(v, key) {
         None => Ok(default),
-        Some(f) if f >= 0.0 && f.fract() == 0.0 => Ok(f as usize),
-        Some(f) => Err(format!("{key:?} must be a non-negative integer, got {f}")),
+        Some(f) if f >= 0.0 && f.fract() == 0.0 && f < MAX_EXACT_INT => Ok(f as usize),
+        Some(f) => Err(format!(
+            "{key:?} must be a non-negative integer below 2^53, got {f}"
+        )),
     }
 }
 
@@ -124,8 +137,8 @@ impl JobRequest {
                 let id = need_str(&v, "id")?;
                 let spec = v.get("spec").ok_or("missing \"spec\"")?;
                 let rank = opt_usize(spec, "rank", 0)?;
-                if rank == 0 {
-                    return Err("spec.rank must be >= 1".into());
+                if !(1..=MAX_RANK).contains(&rank) {
+                    return Err(format!("spec.rank must be in 1..={MAX_RANK}, got {rank}"));
                 }
                 Ok(JobRequest::Submit {
                     id,
@@ -154,7 +167,7 @@ impl JobRequest {
 
 impl JobRequest {
     /// Serialize to one JSON request line (no trailing newline) — the
-    /// client half of the codec, used by `cpd-loadgen` and the tests.
+    /// client half of the codec, used by clients and the tests.
     pub fn to_json(&self) -> String {
         let o = JsonOut::obj().str_field("v", PROTOCOL);
         match self {
@@ -235,8 +248,8 @@ pub enum JobEvent {
     ShuttingDown,
 }
 
-/// Minimal JSON writer: objects assembled field by field with correct
-/// string escaping and the bench-schema policy for non-finite floats.
+/// Minimal JSON writer: objects assembled field by field through
+/// `mttkrp_obs::json`'s string escaper and number formatter.
 pub struct JsonOut {
     buf: String,
     first: bool,
@@ -255,13 +268,13 @@ impl JsonOut {
             self.buf.push(',');
         }
         self.first = false;
-        push_json_str(&mut self.buf, k);
+        push_str(&mut self.buf, k);
         self.buf.push(':');
     }
 
     pub fn str_field(mut self, k: &str, v: &str) -> Self {
         self.key(k);
-        push_json_str(&mut self.buf, v);
+        push_str(&mut self.buf, v);
         self
     }
 
@@ -273,7 +286,7 @@ impl JsonOut {
 
     pub fn f_field(mut self, k: &str, v: f64) -> Self {
         self.key(k);
-        push_json_f64(&mut self.buf, v);
+        self.buf.push_str(&number(v));
         self
     }
 
@@ -295,42 +308,15 @@ impl JsonOut {
     }
 }
 
-fn push_json_str(buf: &mut String, s: &str) {
+fn push_str(buf: &mut String, s: &str) {
     buf.push('"');
-    for ch in s.chars() {
-        match ch {
-            '"' => buf.push_str("\\\""),
-            '\\' => buf.push_str("\\\\"),
-            '\n' => buf.push_str("\\n"),
-            '\r' => buf.push_str("\\r"),
-            '\t' => buf.push_str("\\t"),
-            c if (c as u32) < 0x20 => buf.push_str(&format!("\\u{:04x}", c as u32)),
-            c => buf.push(c),
-        }
-    }
+    buf.push_str(&escape(s));
     buf.push('"');
-}
-
-fn push_json_f64(buf: &mut String, v: f64) {
-    if v.is_finite() {
-        // `{:e}` round-trips f64 exactly and is what the bench schema
-        // emits; keep the two formats consistent.
-        buf.push_str(&format!("{v:e}"));
-    } else {
-        buf.push_str("null");
-    }
 }
 
 fn f64_array(vals: &[f64]) -> String {
-    let mut s = String::from("[");
-    for (i, v) in vals.iter().enumerate() {
-        if i > 0 {
-            s.push(',');
-        }
-        push_json_f64(&mut s, *v);
-    }
-    s.push(']');
-    s
+    let items: Vec<String> = vals.iter().map(|&v| number(v)).collect();
+    format!("[{}]", items.join(","))
 }
 
 impl JobEvent {
@@ -425,7 +411,7 @@ impl JobEvent {
         }
     }
 
-    /// Parse an event line (used by `cpd-loadgen` and the tests).
+    /// Parse an event line (the client half of the codec).
     pub fn parse(line: &str) -> Result<JobEvent, String> {
         let v = JsonValue::parse(line).map_err(|e| format!("bad JSON: {e}"))?;
         let event = need_str(&v, "event")?;
@@ -553,6 +539,48 @@ mod tests {
             r#"{"op":"submit","id":"x","spec":{"path":"p","format":"dense","rank":0}}"#
         )
         .is_err());
+    }
+
+    fn submit_with(field: &str, value: &str) -> Result<JobRequest, String> {
+        JobRequest::parse(&format!(
+            r#"{{"op":"submit","id":"x","spec":{{"{field}":{value},"path":"p","format":"dense","rank":2}}}}"#
+        ))
+    }
+
+    #[test]
+    fn rank_above_max_rank_is_rejected() {
+        assert!(submit_with("rank", &MAX_RANK.to_string()).is_ok());
+        let e = submit_with("rank", &(MAX_RANK + 1).to_string()).unwrap_err();
+        assert!(e.contains("spec.rank"), "{e}");
+        // 2^45: a factor allocation this size aborts the process.
+        assert!(submit_with("rank", "35184372088832").is_err());
+    }
+
+    #[test]
+    fn integers_are_exact_or_refused() {
+        let req = JobRequest::Submit {
+            id: "s".into(),
+            spec: JobSpec {
+                path: "p".into(),
+                format: Format::Dense,
+                rank: 2,
+                max_iters: 1,
+                tol: 0.0,
+                threads: 1,
+                seed: (1 << 53) - 1,
+                stream_fits: true,
+                return_factors: false,
+            },
+        };
+        match JobRequest::parse(&req.to_json()).unwrap() {
+            JobRequest::Submit { spec, .. } => assert_eq!(spec.seed, (1 << 53) - 1),
+            other => panic!("wrong request: {other:?}"),
+        }
+        // 2^53 + 1 reads back as the f64 2^53: refused, not rounded.
+        let e = submit_with("seed", "9007199254740993").unwrap_err();
+        assert!(e.contains("2^53"), "{e}");
+        assert!(submit_with("seed", "9007199254740992").is_err());
+        assert!(submit_with("max_iters", "1e300").is_err());
     }
 
     #[test]

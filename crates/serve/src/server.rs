@@ -20,7 +20,7 @@
 //! starting and its queue slot frees immediately.
 
 use std::collections::HashMap;
-use std::io::{self, BufRead, BufReader, Write};
+use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
@@ -41,6 +41,12 @@ use mttkrp_workloads::{read_sparse, read_tensor};
 
 use crate::admission::{choose_team, Admission, AdmissionConfig, Offer};
 use crate::protocol::{FactorPayload, Format, JobEvent, JobRequest, JobSpec};
+
+/// Longest request line, newline excluded, that the daemon reads. A
+/// longer line is answered with a 413 `rejected` event and its
+/// connection is closed, so a client that never sends `\n` cannot grow
+/// the daemon's memory without bound.
+pub const MAX_LINE_BYTES: usize = 1 << 20;
 
 /// Where the daemon listens.
 #[derive(Debug, Clone)]
@@ -269,23 +275,33 @@ fn accept_loop(listener: Listener, shared: Arc<Shared>) {
     }
 }
 
-fn handle_conn(shared: Arc<Shared>, reader: Box<dyn BufRead + Send>, writer: SharedWriter) {
-    for line in reader.lines() {
-        let Ok(line) = line else { break };
+fn reject(writer: &SharedWriter, code: u32, reason: String) {
+    let id = String::new();
+    emit(writer, &JobEvent::Rejected { id, code, reason });
+}
+
+fn handle_conn(shared: Arc<Shared>, mut reader: Box<dyn BufRead + Send>, writer: SharedWriter) {
+    let mut buf = Vec::new();
+    loop {
+        buf.clear();
+        let limit = MAX_LINE_BYTES as u64 + 1;
+        match reader.by_ref().take(limit).read_until(b'\n', &mut buf) {
+            Ok(0) | Err(_) => break,
+            Ok(_) => {}
+        }
+        if buf.len() > MAX_LINE_BYTES && buf.last() != Some(&b'\n') {
+            let reason = format!("request line longer than {MAX_LINE_BYTES} bytes");
+            reject(&writer, 413, reason);
+            break;
+        }
+        let Ok(line) = std::str::from_utf8(&buf) else {
+            break;
+        };
         if line.trim().is_empty() {
             continue;
         }
-        match JobRequest::parse(&line) {
-            Err(reason) => {
-                emit(
-                    &writer,
-                    &JobEvent::Rejected {
-                        id: String::new(),
-                        code: 400,
-                        reason,
-                    },
-                );
-            }
+        match JobRequest::parse(line) {
+            Err(reason) => reject(&writer, 400, reason),
             Ok(JobRequest::Status) => {
                 let (active, queued) = shared.admission.counts();
                 let cfg = shared.admission.config();

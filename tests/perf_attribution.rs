@@ -121,7 +121,8 @@ fn calibrated_report_attributes_every_mode() {
     assert_eq!(get("dims"), "48x40x36");
     assert_eq!(get("threads"), "2");
     assert!(get("bw_roof_gb_per_s").parse::<f64>().unwrap() > 0.0);
-    assert!((get("calib_err").parse::<f64>().unwrap() - calib_err).abs() < 1e-12);
+    // The context prints the residual to four decimals.
+    assert!((get("calib_err").parse::<f64>().unwrap() - calib_err).abs() <= 5e-5 + 1e-12);
 
     // The JSON envelope is the documented schema and parses back.
     let json = report.to_json();

@@ -17,7 +17,7 @@ use mttkrp_repro::rng::Rng64;
 use mttkrp_repro::sched::Scheduler;
 use mttkrp_repro::serve::server::Bind;
 use mttkrp_repro::serve::{
-    AdmissionConfig, Format, JobEvent, JobRequest, JobSpec, Server, ServerConfig,
+    AdmissionConfig, Format, JobEvent, JobRequest, JobSpec, Server, ServerConfig, MAX_LINE_BYTES,
 };
 use mttkrp_repro::sparse::CsfTensor;
 use mttkrp_repro::tensor::DenseTensor;
@@ -367,10 +367,14 @@ fn full_queue_rejects_with_backpressure() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// A request line of 200,000 `[` would overflow an unbounded recursive
-/// parser's stack and abort the daemon for every tenant. It must be
-/// answered with a 400 rejection on its own connection, and a job on
-/// another connection must still finish with the in-process fit.
+/// Hostile request lines that would each abort or bloat an unguarded
+/// daemon for every tenant: 200,000 `[` (stack overflow in a recursive
+/// parser), a rank of 2^45 (an impossible factor allocation), a seed
+/// above 2^53 (silently rounded by an f64 reader), and a line longer
+/// than `MAX_LINE_BYTES` with no newline in sight. Each is answered with
+/// a rejection on its own connection (400, 400, 400, then 413 and a
+/// close), and a job on another connection must still finish with the
+/// in-process fit.
 #[test]
 fn hostile_nesting_is_rejected_and_other_tenants_are_unharmed() {
     let dir = fresh_dir("hostile");
@@ -396,6 +400,39 @@ fn hostile_nesting_is_rejected_and_other_tenants_are_unharmed() {
     // The hostile connection itself is still served.
     hostile.send(&JobRequest::Status);
     assert!(matches!(hostile.next_event(), JobEvent::Status { .. }));
+
+    let submit = |field: &str, value: &str| {
+        format!(
+            r#"{{"op":"submit","id":"h","spec":{{"{field}":{value},"path":"p","format":"dense","rank":3}}}}"#
+        )
+    };
+    for (field, value, needle) in [
+        ("rank", "35184372088832", "spec.rank"),
+        ("seed", "9007199254740993", "2^53"),
+    ] {
+        hostile.send_raw(&submit(field, value));
+        match hostile.next_event() {
+            JobEvent::Rejected { code, reason, .. } => {
+                assert_eq!(code, 400, "{field}: out-of-range specs are 400-style");
+                assert!(reason.contains(needle), "{field}: {reason}");
+            }
+            other => panic!("hostile {field}: unexpected event {other:?}"),
+        }
+    }
+
+    // An over-long line is refused without being buffered whole, and
+    // the daemon hangs up. The tail of the write may race that close.
+    let long = vec![b' '; MAX_LINE_BYTES + 4096];
+    let _ = hostile.writer.write_all(&long);
+    match hostile.next_event() {
+        JobEvent::Rejected { code, .. } => assert_eq!(code, 413, "over-long lines are 413"),
+        other => panic!("hostile long line: unexpected event {other:?}"),
+    }
+    let mut rest = String::new();
+    assert!(
+        !matches!(hostile.reader.read_line(&mut rest), Ok(n) if n > 0),
+        "the daemon must close an over-long connection, got {rest:?}"
+    );
 
     let mut tenant = Client::connect(&sock);
     let fits = run_to_done(
