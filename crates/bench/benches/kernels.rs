@@ -1,7 +1,7 @@
 //! Kernel microbenchmark: per-tier throughput of the dispatched SIMD
-//! primitives (dot / axpy / hadamard / SYRK row update / GEMM
-//! microkernel and the full packed GEMM built on it), one series per
-//! tier the host CPU supports.
+//! primitives (dot / axpy / hadamard / SYRK row update, and the packed
+//! GEMM on the paper's CP shape), one series per tier the host CPU
+//! supports.
 //!
 //! Output lines are `kernels-<tier>/<kernel>,median_s,min_s,max_s,n`;
 //! each timed call streams `REPS` invocations so the per-call dispatch
@@ -10,7 +10,7 @@
 //! the scalar reference (BENCH tracking: per-tier kernel throughput).
 
 use mttkrp_bench::BenchGroup;
-use mttkrp_blas::kernels::{available_tiers, KernelSet, MicroTile, MR, NR_MAX};
+use mttkrp_blas::kernels::{available_tiers, KernelSet};
 use mttkrp_blas::{gemm_with, Layout, MatMut, MatRef};
 
 /// Vector length of the level-1 benches (L2-resident: 2 × 64 KiB).
@@ -19,8 +19,9 @@ const LEN: usize = 8192;
 const REPS: usize = 200;
 /// Gram rank of the SYRK row-update bench (the paper's C = 25).
 const SYRK_N: usize = 25;
-/// Microkernel depth (one full KC panel).
-const KC: usize = 256;
+/// The `cubic3` mode-0 GEMM `X(0) · K`: `I_0 × (I_1·I_2)` times
+/// `(I_1·I_2) × C` with `I_n = 200`, `C = 25`.
+const CUBIC3: (usize, usize, usize) = (200, 40_000, 25);
 
 fn rand_vec(n: usize, seed: u64) -> Vec<f64> {
     let mut s = seed | 1;
@@ -83,35 +84,30 @@ fn main() {
             std::hint::black_box(acc[0]);
         });
 
-        // The raw register tile at full panel depth: 2·MR·nr·KC flops
-        // per invocation (`nr` is the set's panel width).
-        let a_panel = rand_vec(KC * MR, 7);
-        let b_panel = rand_vec(KC * ks.nr(), 8);
-        group.bench("gemm_micro_kc256", || {
-            let mut tile: MicroTile<f64> = [[0.0; NR_MAX]; MR];
-            for _ in 0..REPS * 4 {
-                (ks.gemm_micro)(KC, &a_panel, &b_panel, &mut tile);
-            }
-            std::hint::black_box(tile[0][0]);
-        });
-
-        // End-to-end packed GEMM on one cache-blocked problem.
-        let (m, n, k) = (256usize, 256usize, 256usize);
+        // The cubic3 mode-0 shape, with `X(0)` column-major as in the
+        // tensor (the vector-copy pack of A) and row-major (the
+        // transposing pack, as for the last mode). 2·m·k·n flops.
+        let (m, k, n) = CUBIC3;
         let a_data = rand_vec(m * k, 9);
         let b_data = rand_vec(k * n, 10);
         let mut c_data = vec![0.0; m * n];
-        group.bench("gemm_256cubed", || {
-            let a = MatRef::from_slice(&a_data, m, k, Layout::ColMajor);
-            let b = MatRef::from_slice(&b_data, k, n, Layout::RowMajor);
-            gemm_with(
-                &ks,
-                1.0,
-                a,
-                b,
-                0.0,
-                MatMut::from_slice(&mut c_data, m, n, Layout::RowMajor),
-            );
-            std::hint::black_box(c_data[0]);
-        });
+        for (name, layout) in [
+            ("gemm_cubic3_m0", Layout::ColMajor),
+            ("gemm_cubic3_rowmajor", Layout::RowMajor),
+        ] {
+            group.bench(name, || {
+                let a = MatRef::from_slice(&a_data, m, k, layout);
+                let b = MatRef::from_slice(&b_data, k, n, Layout::RowMajor);
+                gemm_with(
+                    &ks,
+                    1.0,
+                    a,
+                    b,
+                    0.0,
+                    MatMut::from_slice(&mut c_data, m, n, Layout::RowMajor),
+                );
+                std::hint::black_box(c_data[0]);
+            });
+        }
     }
 }

@@ -1,29 +1,41 @@
 //! Cache-blocked matrix-matrix multiply: `C ← α·A·B + β·C`.
 //!
-//! Classic three-level blocking (BLIS-style): panels of `A` and `B` are
-//! packed into contiguous buffers sized for cache residency, and a
-//! register-tiled `MR × NR` microkernel accumulates into `C`. Transposes
-//! and layouts are expressed through the strides of the [`MatRef`]
-//! views, so one entry point serves every case in the MTTKRP algorithms
-//! (column-major `X(0)`, row-major tensor blocks, transposed
-//! matricizations, strided submatrices).
+//! Three-level blocking (BLIS-style) shaped for MTTKRP's tall, skinny
+//! `X(n) · K`: `m` is a tensor dimension `I_n`, `n` is the rank `C ≤ 64`
+//! and `k` is huge. Panels of `A` and `B` are packed into contiguous
+//! buffers sized for cache residency, and the kernel set's `mr × w`
+//! microkernel, vectorized along `m`, runs on rank panels of exact,
+//! near-equal width (`25 → 9 + 8 + 8` on AVX-512), so no column of the
+//! register tile is zero padding. Tiles accumulate across the whole `k`
+//! loop in a packed copy of the `C` block, which is added into `C` once.
+//!
+//! Transposes and layouts are expressed through the strides of the
+//! [`MatRef`] views, so one entry point serves every case in the MTTKRP
+//! algorithms. `A` is packed by its stride class: unit row stride
+//! (column-major `X(0)`) by vector copies, unit column stride (row-major
+//! tensor blocks, the last mode, transposed matricizations) by the
+//! set's in-register transpose, anything else element by element.
 //!
 //! [`par_gemm`] statically partitions the larger output dimension across
 //! a thread pool, mirroring how the paper invokes multithreaded MKL.
 
 use mttkrp_parallel::{block_range, ThreadPool};
 
-use crate::kernels::{kernels, KernelSet, MicroTile, MR, NR_MAX};
+use crate::kernels::{kernels, KernelSet, MAX_MR};
 use crate::mat::{MatMut, MatRef};
 use crate::scalar::Scalar;
 
-/// K-dimension cache block (sized so an `MR × KC` strip of packed A and a
-/// `KC × nr` strip of packed B stay L1/L2-resident).
+/// K-dimension cache block (sized so an `mr × KC` strip of packed A and a
+/// `KC × w` strip of packed B stay L1/L2-resident).
 const KC: usize = 256;
-/// M-dimension cache block (packed A panel is `MC × KC` ≈ 512 KiB / 4).
-const MC: usize = 64;
-/// N-dimension cache block (packed B panel is `KC × NC`).
+/// M-dimension cache block, a multiple of every set's tile height
+/// [`KernelSet::mr`] (packed A block is `MC × KC`: 256 KiB in `f64`).
+const MC: usize = 256;
+/// N-dimension cache block (packed B block is `KC × NC`).
 const NC: usize = 1024;
+/// Byte alignment of the packed panels: one cache line, so no vector
+/// load of a micro-panel straddles two lines.
+const PACK_ALIGN: usize = 64;
 
 /// `C ← α·A·B + β·C` for arbitrarily strided views, using the
 /// process-wide [`kernels()`] dispatch.
@@ -73,16 +85,27 @@ pub fn gemm_with<S: Scalar>(
     // individually without flooding the span buffers.
     let _span = mttkrp_obs::span_full!("gemm_blocked", mnk = m * n * k);
 
-    // Pack buffers are thread-local (one arena per element type) so
-    // repeated GEMM calls (one per tensor block) do not re-allocate or
-    // re-zero 2 MiB each time.
-    S::with_pack_buffers(|a_pack, b_pack| {
-        a_pack.resize(MC * KC, S::ZERO);
-        // The packed B block rounds `nc` up to the set's panel width,
-        // so size for one extra panel of padding past `NC`.
-        b_pack.resize(KC * (NC + NR_MAX), S::ZERO);
-        gemm_blocked(ks, alpha, &a, &b, &mut c, a_pack, b_pack);
+    // Pack buffers are thread-local (one arena per element type) and
+    // grow-only, so repeated GEMM calls (one per tensor block) neither
+    // re-allocate nor re-zero them once a CP-ALS sweep has sized them.
+    let mc = MC.min(m.next_multiple_of(ks.mr()));
+    let (kc, nc) = (KC.min(k), NC.min(n));
+    S::with_pack_buffers(|a_buf, bc_buf| {
+        let a_pack = aligned(a_buf, mc * kc);
+        let (b_pack, c_pack) = aligned(bc_buf, kc * nc + mc * nc).split_at_mut(kc * nc);
+        gemm_blocked(ks, alpha, &a, &b, &mut c, a_pack, b_pack, c_pack);
     });
+}
+
+/// The first `len` elements of `buf` past its first
+/// [`PACK_ALIGN`]-byte boundary, growing (never shrinking) `buf` to fit.
+fn aligned<S: Scalar>(buf: &mut Vec<S>, len: usize) -> &mut [S] {
+    let slack = PACK_ALIGN / std::mem::size_of::<S>();
+    if buf.len() < len + slack {
+        buf.resize(len + slack, S::ZERO);
+    }
+    let off = buf.as_ptr().align_offset(PACK_ALIGN).min(slack);
+    &mut buf[off..off + len]
 }
 
 /// Per-tier GEMM call/byte/flop counters, recorded only under
@@ -143,7 +166,17 @@ fn small_kernel<S: Scalar>(alpha: f64, a: &MatRef<S>, b: &MatRef<S>, c: &mut Mat
     }
 }
 
-/// The packed, blocked path of [`gemm`].
+/// Width of rank panel `q` when `nc` columns are split into `np`
+/// panels of near-equal width (the first `nc % np` are one wider).
+#[inline]
+fn panel_width(nc: usize, np: usize, q: usize) -> usize {
+    nc / np + usize::from(q < nc % np)
+}
+
+/// The packed, blocked path of [`gemm`]: for each `MC` block of rows,
+/// the tiles of a packed `C` block accumulate over all of `k` before
+/// one `C += α · C_pack`.
+#[allow(clippy::too_many_arguments)]
 fn gemm_blocked<S: Scalar>(
     ks: &KernelSet<S>,
     alpha: f64,
@@ -152,25 +185,45 @@ fn gemm_blocked<S: Scalar>(
     c: &mut MatMut<S>,
     a_pack: &mut [S],
     b_pack: &mut [S],
+    c_pack: &mut [S],
 ) {
     let (m, k) = (a.nrows(), a.ncols());
     let n = b.ncols();
+    let mr = ks.mr();
 
     let mut jc = 0;
     while jc < n {
         let nc = usize::min(NC, n - jc);
-        let mut pc = 0;
-        while pc < k {
-            let kc = usize::min(KC, k - pc);
-            pack_b(b_pack, b, pc, jc, kc, nc, ks.nr());
-            let mut ic = 0;
-            while ic < m {
-                let mc = usize::min(MC, m - ic);
-                pack_a(a_pack, a, ic, pc, mc, kc);
-                macro_kernel(ks, alpha, a_pack, b_pack, c, ic, jc, mc, nc, kc);
-                ic += MC;
+        let np = nc.div_ceil(ks.nr());
+        let mut ic = 0;
+        while ic < m {
+            let mc = usize::min(MC, m - ic);
+            let mt = mc.div_ceil(mr);
+            let c_pack = &mut c_pack[..mt * mr * nc];
+            c_pack.fill(S::ZERO);
+            let mut pc = 0;
+            while pc < k {
+                let kc = usize::min(KC, k - pc);
+                pack_b(b_pack, &b.submatrix(pc, jc, kc, nc), np);
+                pack_a(ks, a_pack, &a.submatrix(ic, pc, mc, kc));
+                // One B panel stays in L1 while the A micro-panels of the
+                // block stream past it.
+                let (mut b_off, mut c_off) = (0, 0);
+                for q in 0..np {
+                    let w = panel_width(nc, np, q);
+                    let b_panel = &b_pack[b_off..b_off + kc * w];
+                    for t in 0..mt {
+                        let a_panel = &a_pack[t * kc * mr..(t + 1) * kc * mr];
+                        let tile = &mut c_pack[c_off + t * mr * w..c_off + (t + 1) * mr * w];
+                        (ks.gemm_micro)(kc, w, a_panel, b_panel, tile);
+                    }
+                    b_off += kc * w;
+                    c_off += mt * mr * w;
+                }
+                pc += KC;
             }
-            pc += KC;
+            unpack_c(alpha, c_pack, c, ic, jc, mc, mr, nc, np);
+            ic += MC;
         }
         jc += NC;
     }
@@ -198,102 +251,132 @@ pub(crate) fn scale_c<S: Scalar>(c: &mut MatMut<S>, beta: f64) {
     }
 }
 
-/// Pack an `mc × kc` panel of A starting at `(ic, pc)` into micro-panels
-/// of `MR` rows, column-major within each micro-panel
-/// (`a_pack[panel][p * MR + i]`). Rows past `mc` are zero-padded.
-fn pack_a<S: Scalar>(a_pack: &mut [S], a: &MatRef<S>, ic: usize, pc: usize, mc: usize, kc: usize) {
-    let mut dst = 0;
-    let mut ir = 0;
-    while ir < mc {
-        let mr = usize::min(MR, mc - ir);
-        for p in 0..kc {
-            for i in 0..MR {
-                a_pack[dst] = if i < mr {
-                    unsafe { a.get_unchecked(ic + ir + i, pc + p) }
-                } else {
-                    S::ZERO
-                };
-                dst += 1;
+/// Pack the `mc × kc` block `a` into micro-panels of `mr = ks.mr()`
+/// rows, column-major within each (`a_pack[t·kc·mr + p·mr + i]`), rows
+/// past `mc` zero-padded. The copy is chosen by the stride class of `a`.
+fn pack_a<S: Scalar>(ks: &KernelSet<S>, a_pack: &mut [S], a: &MatRef<S>) {
+    let (mc, kc) = (a.nrows(), a.ncols());
+    let mr = ks.mr();
+    let panels = a_pack[..mc.div_ceil(mr) * kc * mr].chunks_exact_mut(kc * mr);
+    if a.row_stride() == 1 {
+        match mr {
+            8 => pack_a_cols::<S, 8>(a_pack, a),
+            16 => pack_a_cols::<S, 16>(a_pack, a),
+            32 => pack_a_cols::<S, 32>(a_pack, a),
+            _ => unreachable!("tile heights are 8, 16 or 32"),
+        }
+    } else if a.col_stride() == 1 {
+        for (t, panel) in panels.enumerate() {
+            let rows = usize::min(mr, mc - t * mr);
+            let mut slices: [&[S]; MAX_MR] = [&[]; MAX_MR];
+            for (i, s) in slices[..rows].iter_mut().enumerate() {
+                *s = a.row_slice(t * mr + i);
+            }
+            (ks.pack_rows)(&slices[..rows], panel);
+        }
+    } else {
+        for (t, panel) in panels.enumerate() {
+            let rows = usize::min(mr, mc - t * mr);
+            for (p, dst) in panel.chunks_exact_mut(mr).enumerate() {
+                for (i, d) in dst.iter_mut().enumerate() {
+                    // SAFETY: `i < rows` keeps the row inside the
+                    // `mc`-row view, and `p < kc` the column.
+                    *d = if i < rows {
+                        unsafe { a.get_unchecked(t * mr + i, p) }
+                    } else {
+                        S::ZERO
+                    };
+                }
             }
         }
-        ir += MR;
     }
 }
 
-/// Pack a `kc × nc` panel of B starting at `(pc, jc)` into micro-panels
-/// of `nr_panel` columns (the kernel set's [`KernelSet::nr`]),
-/// row-major within each micro-panel (`b_pack[panel][p * nr_panel + j]`).
-/// Columns past `nc` are zero-padded.
-#[allow(clippy::too_many_arguments)]
-fn pack_b<S: Scalar>(
-    b_pack: &mut [S],
-    b: &MatRef<S>,
-    pc: usize,
-    jc: usize,
-    kc: usize,
-    nc: usize,
-    nr_panel: usize,
-) {
-    let mut dst = 0;
-    let mut jr = 0;
-    while jr < nc {
-        let nr = usize::min(nr_panel, nc - jr);
-        for p in 0..kc {
-            for j in 0..nr_panel {
-                b_pack[dst] = if j < nr {
-                    unsafe { b.get_unchecked(pc + p, jc + jr + j) }
-                } else {
-                    S::ZERO
-                };
-                dst += 1;
+/// [`pack_a`] for unit row stride (each column of `a` a contiguous
+/// slice): a column at a time, `MR`-element vector copies into each
+/// micro-panel.
+fn pack_a_cols<S: Scalar, const MR: usize>(a_pack: &mut [S], a: &MatRef<S>) {
+    let (mc, kc) = (a.nrows(), a.ncols());
+    let mt = mc.div_ceil(MR);
+    for p in 0..kc {
+        let col = a.col_slice(p);
+        for t in 0..mt {
+            let dst: &mut [S; MR] = (&mut a_pack[(t * kc + p) * MR..][..MR])
+                .try_into()
+                .expect("slice of length MR");
+            let src = &col[t * MR..mc.min((t + 1) * MR)];
+            if let Ok(src) = <&[S; MR]>::try_from(src) {
+                *dst = *src;
+            } else {
+                dst[..src.len()].copy_from_slice(src);
+                dst[src.len()..].fill(S::ZERO);
             }
         }
-        jr += nr_panel;
     }
 }
 
-/// Multiply one packed `mc × kc` A panel by one packed `kc × nc` B panel,
-/// accumulating `α · (panel product)` into `C[ic.., jc..]`.
+/// Pack the `kc × nc` block `b` into `np` panels of exact, near-equal
+/// width `w` ([`panel_width`]), row-major within each
+/// (`b_pack[offset + p·w + j]`). No column is padded.
+fn pack_b<S: Scalar>(b_pack: &mut [S], b: &MatRef<S>, np: usize) {
+    let (kc, nc) = (b.nrows(), b.ncols());
+    let (mut off, mut j0) = (0, 0);
+    for q in 0..np {
+        let w = panel_width(nc, np, q);
+        let panel = &mut b_pack[off..off + kc * w];
+        if b.col_stride() == 1 {
+            for (p, dst) in panel.chunks_exact_mut(w).enumerate() {
+                dst.copy_from_slice(&b.row_slice(p)[j0..j0 + w]);
+            }
+        } else {
+            for (p, dst) in panel.chunks_exact_mut(w).enumerate() {
+                for (j, d) in dst.iter_mut().enumerate() {
+                    // SAFETY: `p < kc` and `j0 + j < nc` index the view.
+                    *d = unsafe { b.get_unchecked(p, j0 + j) };
+                }
+            }
+        }
+        off += kc * w;
+        j0 += w;
+    }
+}
+
+/// `C[ic.., jc..] += α · C_pack` for one `mc × nc` block, reading the
+/// packed tiles in the order [`gemm_blocked`] wrote them (per rank
+/// panel, per `mr`-row tile, column-major within a tile).
 #[allow(clippy::too_many_arguments)]
-fn macro_kernel<S: Scalar>(
-    ks: &KernelSet<S>,
+fn unpack_c<S: Scalar>(
     alpha: f64,
-    a_pack: &[S],
-    b_pack: &[S],
+    c_pack: &[S],
     c: &mut MatMut<S>,
     ic: usize,
     jc: usize,
     mc: usize,
+    mr: usize,
     nc: usize,
-    kc: usize,
+    np: usize,
 ) {
     let alpha = S::from_f64(alpha);
-    let nr_panel = ks.nr();
-    let mut jr = 0;
-    while jr < nc {
-        let nr = usize::min(nr_panel, nc - jr);
-        let b_panel = &b_pack[(jr / nr_panel) * (kc * nr_panel)..][..kc * nr_panel];
-        let mut ir = 0;
-        while ir < mc {
-            let mr = usize::min(MR, mc - ir);
-            let a_panel = &a_pack[(ir / MR) * (kc * MR)..][..kc * MR];
-            // Register-tiled rank-`kc` update: the dispatched microkernel
-            // (explicit FMA tile on SIMD tiers) accumulates into a fresh
-            // `MR × nr` stack tile.
-            let mut acc: MicroTile<S> = [[S::ZERO; NR_MAX]; MR];
-            (ks.gemm_micro)(kc, a_panel, b_panel, &mut acc);
-            // Write back the valid `mr × nr` corner of the register tile.
-            for i in 0..mr {
-                for j in 0..nr {
+    let mt = mc.div_ceil(mr);
+    let (mut off, mut j0) = (0, 0);
+    for q in 0..np {
+        let w = panel_width(nc, np, q);
+        for t in 0..mt {
+            let tile = &c_pack[off + t * mr * w..off + (t + 1) * mr * w];
+            let rows = usize::min(mr, mc - t * mr);
+            for (j, col) in tile.chunks_exact(mr).enumerate() {
+                for (i, &v) in col[..rows].iter().enumerate() {
+                    let (ci, cj) = (ic + t * mr + i, jc + j0 + j);
+                    // SAFETY: `ci < ic + mc <= m` and `cj < jc + nc <= n`.
                     unsafe {
-                        let old = c.get_unchecked(ic + ir + i, jc + jr + j);
-                        c.set_unchecked(ic + ir + i, jc + jr + j, old + alpha * acc[i][j]);
+                        let old = c.get_unchecked(ci, cj);
+                        c.set_unchecked(ci, cj, old + alpha * v);
                     }
                 }
             }
-            ir += MR;
         }
-        jr += nr_panel;
+        off += mt * mr * w;
+        j0 += w;
     }
 }
 
@@ -458,7 +541,7 @@ mod tests {
 
     #[test]
     fn matches_oracle_blocked_sizes() {
-        // Cross the MC/KC/NC boundaries and the MR/NR tails.
+        // Cross the MC/KC/NC boundaries and the mr/nr tails.
         for &(m, n, k) in &[(65, 9, 257), (130, 1030, 3), (63, 17, 300), (100, 25, 513)] {
             check_case(m, n, k, Layout::ColMajor, Layout::RowMajor, 1.0, 0.0);
         }

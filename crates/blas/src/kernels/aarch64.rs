@@ -11,26 +11,32 @@
 //! four lanes of `f32` (`float32x4_t`, `vfmaq_f32`). The `f32`
 //! reductions widen pairs via `vcvt_f64_f32` so `dot` and the SYRK
 //! rank-1 update accumulate in `f64`.
+//!
+//! The GEMM microkernel and A pack are the portable ones
+//! ([`super::scalar::gemm_micro`]); a hand NEON tile of the x86 geometry
+//! (two vectors along `m`, broadcast rank panels) is future work.
 
 #![allow(unsafe_op_in_unsafe_fn)]
 
 use core::arch::aarch64::*;
 
-use super::{KernelSet, KernelTier, MicroTile, MR, NR, NR_MAX};
+use super::{scalar, KernelSet, KernelTier};
 
 /// The NEON set. Caller contract: only hand this out after
 /// `KernelTier::Neon.supported()` returned true.
 pub(crate) fn neon_set_f64() -> KernelSet<f64> {
     KernelSet {
         tier: KernelTier::Neon,
-        nr: NR,
+        mr: scalar::MR,
+        nr: scalar::NR,
         dot: dot_neon,
         axpy: axpy_neon,
         hadamard: hadamard_neon,
         hadamard_assign: hadamard_assign_neon,
         mul_add: mul_add_neon,
         syrk_rank1_lower: syrk_rank1_lower_neon,
-        gemm_micro: gemm_micro_neon,
+        gemm_micro: scalar::gemm_micro,
+        pack_rows: scalar::pack_rows,
     }
 }
 
@@ -172,51 +178,6 @@ unsafe fn syrk_rank1_lower_neon_impl(row: &[f64], acc: &mut [f64]) {
     }
 }
 
-fn gemm_micro_neon(kc: usize, a_panel: &[f64], b_panel: &[f64], acc: &mut MicroTile<f64>) {
-    debug_assert!(a_panel.len() >= kc * MR);
-    debug_assert!(b_panel.len() >= kc * NR);
-    unsafe { gemm_micro_neon_impl(kc, a_panel, b_panel, acc) }
-}
-
-/// 4×8 register tile as 4 rows × 4 two-lane vectors: 16 accumulators,
-/// 4 B loads and 4 A broadcasts per rank-1 step — 24 of 32 NEON regs.
-#[target_feature(enable = "neon")]
-unsafe fn gemm_micro_neon_impl(
-    kc: usize,
-    a_panel: &[f64],
-    b_panel: &[f64],
-    acc: &mut MicroTile<f64>,
-) {
-    let cp = acc.as_mut_ptr() as *mut f64;
-    let mut c: [[float64x2_t; 4]; MR] = [[vdupq_n_f64(0.0); 4]; MR];
-    for (i, row) in c.iter_mut().enumerate() {
-        for (j, v) in row.iter_mut().enumerate() {
-            *v = vld1q_f64(cp.add(i * NR_MAX + j * 2));
-        }
-    }
-    let ap = a_panel.as_ptr();
-    let bp = b_panel.as_ptr();
-    for p in 0..kc {
-        let b = [
-            vld1q_f64(bp.add(p * NR)),
-            vld1q_f64(bp.add(p * NR + 2)),
-            vld1q_f64(bp.add(p * NR + 4)),
-            vld1q_f64(bp.add(p * NR + 6)),
-        ];
-        for (i, row) in c.iter_mut().enumerate() {
-            let a = vdupq_n_f64(*ap.add(p * MR + i));
-            for (j, v) in row.iter_mut().enumerate() {
-                *v = vfmaq_f64(*v, a, b[j]);
-            }
-        }
-    }
-    for (i, row) in c.iter().enumerate() {
-        for (j, v) in row.iter().enumerate() {
-            vst1q_f64(cp.add(i * NR_MAX + j * 2), *v);
-        }
-    }
-}
-
 // ------------------------------------------------------------ NEON (f32)
 
 /// The NEON `f32` set (4 lanes). Same caller contract as
@@ -224,14 +185,16 @@ unsafe fn gemm_micro_neon_impl(
 pub(crate) fn neon_set_f32() -> KernelSet<f32> {
     KernelSet {
         tier: KernelTier::Neon,
-        nr: NR,
+        mr: scalar::MR,
+        nr: scalar::NR,
         dot: dot_neon_f32,
         axpy: axpy_neon_f32,
         hadamard: hadamard_neon_f32,
         hadamard_assign: hadamard_assign_neon_f32,
         mul_add: mul_add_neon_f32,
         syrk_rank1_lower: syrk_rank1_lower_neon_f32,
-        gemm_micro: gemm_micro_neon_f32,
+        gemm_micro: scalar::gemm_micro,
+        pack_rows: scalar::pack_rows,
     }
 }
 
@@ -409,46 +372,5 @@ unsafe fn syrk_rank1_lower_neon_f32_impl(row: &[f32], acc: &mut [f64]) {
             continue;
         }
         axpy_wide_neon_impl(rp as f64, &row[..p + 1], &mut acc[p * n..p * n + p + 1]);
-    }
-}
-
-fn gemm_micro_neon_f32(kc: usize, a_panel: &[f32], b_panel: &[f32], acc: &mut MicroTile<f32>) {
-    debug_assert!(a_panel.len() >= kc * MR);
-    debug_assert!(b_panel.len() >= kc * NR);
-    unsafe { gemm_micro_neon_f32_impl(kc, a_panel, b_panel, acc) }
-}
-
-/// 4×8 `f32` register tile as 4 rows × 2 four-lane vectors: 8
-/// accumulators, 2 B loads and 4 A broadcasts per rank-1 step — half
-/// the vector ops of the `f64` twin for the same tile.
-#[target_feature(enable = "neon")]
-unsafe fn gemm_micro_neon_f32_impl(
-    kc: usize,
-    a_panel: &[f32],
-    b_panel: &[f32],
-    acc: &mut MicroTile<f32>,
-) {
-    let cp = acc.as_mut_ptr() as *mut f32;
-    let mut c: [[float32x4_t; 2]; MR] = [[vdupq_n_f32(0.0); 2]; MR];
-    for (i, row) in c.iter_mut().enumerate() {
-        for (j, v) in row.iter_mut().enumerate() {
-            *v = vld1q_f32(cp.add(i * NR_MAX + j * 4));
-        }
-    }
-    let ap = a_panel.as_ptr();
-    let bp = b_panel.as_ptr();
-    for p in 0..kc {
-        let b = [vld1q_f32(bp.add(p * NR)), vld1q_f32(bp.add(p * NR + 4))];
-        for (i, row) in c.iter_mut().enumerate() {
-            let a = vdupq_n_f32(*ap.add(p * MR + i));
-            for (j, v) in row.iter_mut().enumerate() {
-                *v = vfmaq_f32(*v, a, b[j]);
-            }
-        }
-    }
-    for (i, row) in c.iter().enumerate() {
-        for (j, v) in row.iter().enumerate() {
-            vst1q_f32(cp.add(i * NR_MAX + j * 4), *v);
-        }
     }
 }

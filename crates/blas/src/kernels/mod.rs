@@ -40,21 +40,43 @@ pub mod aarch64;
 #[cfg(target_arch = "x86_64")]
 pub mod x86_64;
 
-/// Microkernel tile height (rows of C per register tile).
-pub const MR: usize = 4;
-/// Base microkernel tile width (columns of C per register tile) — the
-/// B-panel width of the `f64` and scalar kernels. Individual sets may
-/// use a wider panel (see [`KernelSet::nr`]), up to [`NR_MAX`].
-pub const NR: usize = 8;
-/// Upper bound on [`KernelSet::nr`] across every set: the `f32` SIMD
-/// kernels run 16-column tiles (a full zmm / two ymm per C row), and
-/// [`MicroTile`] rows are sized for the widest case.
-pub const NR_MAX: usize = 16;
+/// Tallest GEMM register tile of any set ([`KernelSet::mr`]): the
+/// `f32` AVX-512 tile, two 16-lane vectors along `m`. The GEMM driver
+/// sizes its stack of row slices for the transposing pack by it.
+pub(crate) const MAX_MR: usize = 32;
 
-/// The register-tile accumulator of the GEMM microkernel. Rows are
-/// [`NR_MAX`] wide; a kernel whose panel width [`KernelSet::nr`] is
-/// narrower only reads and writes the first `nr` columns of each row.
-pub type MicroTile<S> = [[S; NR_MAX]; MR];
+/// Checks the [`KernelSet::gemm_micro`] contract for a tile of height
+/// `mr` and widest panel `nr`. The SIMD microkernels read their panels
+/// through raw pointers, so this check is what makes their safe
+/// wrappers sound.
+#[inline]
+pub(crate) fn check_micro_args(
+    mr: usize,
+    nr: usize,
+    kc: usize,
+    w: usize,
+    a_panel: usize,
+    b_panel: usize,
+    tile: usize,
+) {
+    assert!(
+        (1..=nr).contains(&w) && a_panel >= kc * mr && b_panel >= kc * w && tile >= mr * w,
+        "gemm_micro: w={w} (nr={nr}), kc={kc}, panels {a_panel}/{b_panel}, tile {tile} (mr={mr})"
+    );
+}
+
+/// Checks the `pack_rows` contract (at most `mr` rows, all of one
+/// length `kc`, and room for a `kc × mr` micro-panel) and returns `kc`.
+#[inline]
+pub(crate) fn check_pack_rows<S>(mr: usize, rows: &[&[S]], dst: usize) -> usize {
+    let kc = rows.first().map_or(0, |r| r.len());
+    assert!(
+        rows.len() <= mr && rows.iter().all(|r| r.len() == kc) && dst >= kc * mr,
+        "pack_rows: {} rows of length {kc} into {dst} (mr={mr})",
+        rows.len()
+    );
+    kc
+}
 
 /// A dispatchable kernel tier.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -144,7 +166,10 @@ impl std::fmt::Display for KernelTier {
 #[derive(Clone, Copy)]
 pub struct KernelSet<S: Scalar = f64> {
     tier: KernelTier,
-    /// B-panel width of `gemm_micro` (columns of C per register tile).
+    /// Height of the `gemm_micro` tile (rows of C, along which it is
+    /// vectorized).
+    mr: usize,
+    /// Widest B panel of `gemm_micro` (columns of C per register tile).
     nr: usize,
     /// Dot product `Σ x[i]·y[i]` (equal lengths), accumulated in `f64`.
     pub dot: fn(&[S], &[S]) -> f64,
@@ -163,14 +188,25 @@ pub struct KernelSet<S: Scalar = f64> {
     /// (`acc.len() == n·n`; only the lower-triangle prefixes are
     /// touched).
     pub syrk_rank1_lower: fn(&[S], &mut [f64]),
-    /// Register-tiled `MR × nr` rank-`kc` GEMM microkernel on packed
-    /// panels: `acc[i][j] += Σ_p a_panel[p·MR+i] · b_panel[p·nr+j]`
-    /// for `j < nr` (`a_panel.len() >= kc·MR`,
-    /// `b_panel.len() >= kc·nr`, with `nr = self.nr()`). Accumulates
-    /// natively in `S` — this is where the doubled `f32` lane count
-    /// pays off: the `f32` SIMD sets run 16-column tiles
-    /// (`nr == NR_MAX`) against the `f64` sets' 8.
-    pub gemm_micro: fn(usize, &[S], &[S], &mut MicroTile<S>),
+    /// Register-tiled rank-`kc` GEMM microkernel on packed panels:
+    /// `tile[j·mr + i] += Σ_p a_panel[p·mr + i] · b_panel[p·w + j]` for
+    /// `i < mr`, `j < w`, with `mr = self.mr()` and any panel width
+    /// `1 <= w <= self.nr()` (`a_panel.len() >= kc·mr`,
+    /// `b_panel.len() >= kc·w`, `tile.len() >= mr·w`; panics otherwise).
+    ///
+    /// The tile is vectorized along `m` (the tensor's `I_n` rows): each
+    /// step loads two vectors of A and broadcasts `w` entries of B into
+    /// `2·w` independent accumulators, so a rank of 25 runs as exact
+    /// panels of 9 + 8 + 8 with no zero-padded columns. The tile is
+    /// column-major and accumulated natively in `S`.
+    pub gemm_micro: fn(usize, usize, &[S], &[S], &mut [S]),
+    /// Packs at most `mr` rows of A, each a contiguous slice of one
+    /// length `kc`, into a `kc × mr` micro-panel
+    /// (`dst[p·mr + i] = rows[i][p]`, zeros for `i >= rows.len()`):
+    /// the pack of a unit-column-stride A (row-major blocks, the last
+    /// mode, transposed matricizations), an in-register transpose on
+    /// the SIMD tiers.
+    pub(crate) pack_rows: fn(&[&[S]], &mut [S]),
 }
 
 impl<S: Scalar> std::fmt::Debug for KernelSet<S> {
@@ -189,9 +225,16 @@ impl<S: Scalar> KernelSet<S> {
         self.tier
     }
 
-    /// The B-panel width of this set's `gemm_micro` (columns of C per
-    /// register tile). Always a divisor of [`NR_MAX`]; the GEMM driver
-    /// packs B and steps its column loop at this width.
+    /// The height of this set's `gemm_micro` tile (rows of C per
+    /// register tile): two SIMD vectors of `S`.
+    #[inline]
+    pub fn mr(&self) -> usize {
+        self.mr
+    }
+
+    /// The widest B panel of this set's `gemm_micro` (columns of C per
+    /// register tile). The GEMM driver splits `n` into
+    /// `ceil(n / nr)` panels of near-equal width at most this.
     #[inline]
     pub fn nr(&self) -> usize {
         self.nr
@@ -201,7 +244,8 @@ impl<S: Scalar> KernelSet<S> {
     pub fn scalar() -> KernelSet<S> {
         KernelSet {
             tier: KernelTier::Scalar,
-            nr: NR,
+            mr: scalar::MR,
+            nr: scalar::NR,
             dot: scalar::dot::<S>,
             axpy: scalar::axpy::<S>,
             hadamard: scalar::hadamard::<S>,
@@ -209,6 +253,7 @@ impl<S: Scalar> KernelSet<S> {
             mul_add: scalar::mul_add::<S>,
             syrk_rank1_lower: scalar::syrk_rank1_lower::<S>,
             gemm_micro: scalar::gemm_micro::<S>,
+            pack_rows: scalar::pack_rows::<S>,
         }
     }
 
@@ -344,18 +389,22 @@ mod tests {
     }
 
     #[test]
-    fn every_set_panel_width_divides_nr_max() {
+    fn every_tile_is_two_vectors_tall() {
         for tier in available_tiers() {
             let k64 = KernelSet::<f64>::for_tier(tier).unwrap();
             let k32 = KernelSet::<f32>::for_tier(tier).unwrap();
-            for nr in [k64.nr(), k32.nr()] {
-                assert!(
-                    nr > 0 && nr <= NR_MAX && NR_MAX.is_multiple_of(nr),
-                    "{tier}: nr={nr}"
-                );
+            // The GEMM driver's A pack is monomorphized for these heights.
+            for (mr, nr) in [(k64.mr(), k64.nr()), (k32.mr(), k32.nr())] {
+                assert!([8, 16, MAX_MR].contains(&mr) && nr > 0, "{tier}");
             }
-            // f32 tiles are never narrower than the f64 twin's.
-            assert!(k32.nr() >= k64.nr(), "{tier}");
+            if matches!(tier, KernelTier::Avx2 | KernelTier::Avx512) {
+                assert_eq!(k64.mr(), 2 * tier.lanes_for(8), "{tier}");
+                assert_eq!(k32.mr(), 2 * tier.lanes_for(4), "{tier}");
+                // 2·nr accumulators: 24 zmm on AVX-512, 12 ymm on AVX2.
+                let accumulators = if tier == KernelTier::Avx512 { 24 } else { 12 };
+                assert_eq!(2 * k64.nr(), accumulators, "{tier}");
+                assert_eq!(k64.nr(), k32.nr(), "{tier}");
+            }
         }
     }
 

@@ -8,7 +8,7 @@
 //! (`dot`, `syrk_rank1_lower`) accumulate in `f64` regardless of the
 //! storage type, matching the SIMD tiers' mixed-precision contract.
 
-use super::{MicroTile, MR, NR};
+use super::{check_micro_args, check_pack_rows};
 use crate::scalar::Scalar;
 
 /// Dot product `Σ x[i]·y[i]`, accumulated in `f64`.
@@ -85,23 +85,55 @@ pub fn syrk_rank1_lower<S: Scalar>(row: &[S], acc: &mut [f64]) {
     }
 }
 
-/// Register-tiled `MR × NR` rank-`kc` update on packed panels:
-/// `acc[i][j] += Σ_p a_panel[p·MR+i] · b_panel[p·NR+j]`.
-///
-/// The accumulator lives in `MR × NR` locals of the storage type; with
-/// `MR = 4`, `NR = 8` LLVM vectorizes the inner loop into FMA lanes.
-#[inline]
-pub fn gemm_micro<S: Scalar>(kc: usize, a_panel: &[S], b_panel: &[S], acc: &mut MicroTile<S>) {
-    debug_assert!(a_panel.len() >= kc * MR);
-    debug_assert!(b_panel.len() >= kc * NR);
-    for p in 0..kc {
-        let a = &a_panel[p * MR..p * MR + MR];
-        let b = &b_panel[p * NR..p * NR + NR];
-        for i in 0..MR {
-            let ai = a[i];
-            for j in 0..NR {
-                acc[i][j] += ai * b[j];
+/// Tile height of the portable GEMM microkernel (rows of C).
+pub(crate) const MR: usize = 8;
+/// Widest rank panel of the portable GEMM microkernel.
+pub(crate) const NR: usize = 4;
+
+/// The `mr × w` GEMM microkernel of the
+/// [`KernelSet::gemm_micro`](super::KernelSet::gemm_micro) contract with
+/// `mr = MR`, `w <= NR`: `tile[j·MR + i] += Σ_p a_panel[p·MR + i] ·
+/// b_panel[p·w + j]`. Also the NEON sets' microkernel.
+pub fn gemm_micro<S: Scalar>(kc: usize, w: usize, a_panel: &[S], b_panel: &[S], tile: &mut [S]) {
+    check_micro_args(MR, NR, kc, w, a_panel.len(), b_panel.len(), tile.len());
+    match w {
+        1 => micro_tile::<S, 1>(kc, a_panel, b_panel, tile),
+        2 => micro_tile::<S, 2>(kc, a_panel, b_panel, tile),
+        3 => micro_tile::<S, 3>(kc, a_panel, b_panel, tile),
+        _ => micro_tile::<S, 4>(kc, a_panel, b_panel, tile),
+    }
+}
+
+/// One width of [`gemm_micro`]: the `MR × W` accumulator lives in
+/// locals, and the fixed-width inner loop along `m` autovectorizes.
+#[inline(always)]
+fn micro_tile<S: Scalar, const W: usize>(kc: usize, a_panel: &[S], b_panel: &[S], tile: &mut [S]) {
+    let mut acc = [[S::ZERO; MR]; W];
+    for (a, b) in a_panel
+        .chunks_exact(MR)
+        .zip(b_panel.chunks_exact(W))
+        .take(kc)
+    {
+        for j in 0..W {
+            for i in 0..MR {
+                acc[j][i] += a[i] * b[j];
             }
+        }
+    }
+    for (t, col) in tile.chunks_exact_mut(MR).zip(acc.iter()) {
+        for i in 0..MR {
+            t[i] += col[i];
+        }
+    }
+}
+
+/// The portable `pack_rows`: `dst[p·MR + i] = rows[i][p]`, zero rows
+/// past `rows.len()`.
+pub fn pack_rows<S: Scalar>(rows: &[&[S]], dst: &mut [S]) {
+    let kc = check_pack_rows(MR, rows, dst.len());
+    for (p, d) in dst.chunks_exact_mut(MR).take(kc).enumerate() {
+        for (i, v) in d.iter_mut().enumerate() {
+            *v = rows.get(i).map_or(S::ZERO, |r| r[p]);
         }
     }
 }

@@ -20,14 +20,15 @@
 
 use core::arch::x86_64::*;
 
-use super::{KernelSet, KernelTier, MicroTile, MR, NR, NR_MAX};
+use super::{check_micro_args, check_pack_rows, KernelSet, KernelTier};
 
 /// The AVX2+FMA `f64` set. Caller contract: only hand this out after
 /// `KernelTier::Avx2.supported()` returned true.
 pub(crate) fn avx2_set_f64() -> KernelSet<f64> {
     KernelSet {
         tier: KernelTier::Avx2,
-        nr: NR,
+        mr: 8,
+        nr: NR_AVX2,
         dot: dot_avx2,
         axpy: axpy_avx2,
         hadamard: hadamard_avx2,
@@ -35,6 +36,7 @@ pub(crate) fn avx2_set_f64() -> KernelSet<f64> {
         mul_add: mul_add_avx2,
         syrk_rank1_lower: syrk_rank1_lower_avx2,
         gemm_micro: gemm_micro_avx2,
+        pack_rows: pack_rows_avx2,
     }
 }
 
@@ -43,7 +45,8 @@ pub(crate) fn avx2_set_f64() -> KernelSet<f64> {
 pub(crate) fn avx512_set_f64() -> KernelSet<f64> {
     KernelSet {
         tier: KernelTier::Avx512,
-        nr: NR,
+        mr: 16,
+        nr: NR_AVX512,
         dot: dot_avx512,
         axpy: axpy_avx512,
         hadamard: hadamard_avx512,
@@ -51,6 +54,7 @@ pub(crate) fn avx512_set_f64() -> KernelSet<f64> {
         mul_add: mul_add_avx512,
         syrk_rank1_lower: syrk_rank1_lower_avx512,
         gemm_micro: gemm_micro_avx512,
+        pack_rows: pack_rows_avx512,
     }
 }
 
@@ -59,7 +63,8 @@ pub(crate) fn avx512_set_f64() -> KernelSet<f64> {
 pub(crate) fn avx2_set_f32() -> KernelSet<f32> {
     KernelSet {
         tier: KernelTier::Avx2,
-        nr: NR_MAX,
+        mr: 16,
+        nr: NR_AVX2,
         dot: dot_avx2_f32,
         axpy: axpy_avx2_f32,
         hadamard: hadamard_avx2_f32,
@@ -67,6 +72,7 @@ pub(crate) fn avx2_set_f32() -> KernelSet<f32> {
         mul_add: mul_add_avx2_f32,
         syrk_rank1_lower: syrk_rank1_lower_avx2_f32,
         gemm_micro: gemm_micro_avx2_f32,
+        pack_rows: pack_rows_avx2_f32,
     }
 }
 
@@ -75,7 +81,8 @@ pub(crate) fn avx2_set_f32() -> KernelSet<f32> {
 pub(crate) fn avx512_set_f32() -> KernelSet<f32> {
     KernelSet {
         tier: KernelTier::Avx512,
-        nr: NR_MAX,
+        mr: 32,
+        nr: NR_AVX512,
         dot: dot_avx512_f32,
         axpy: axpy_avx512_f32,
         hadamard: hadamard_avx512_f32,
@@ -83,6 +90,7 @@ pub(crate) fn avx512_set_f32() -> KernelSet<f32> {
         mul_add: mul_add_avx512_f32,
         syrk_rank1_lower: syrk_rank1_lower_avx512_f32,
         gemm_micro: gemm_micro_avx512_f32,
+        pack_rows: pack_rows_avx512_f32,
     }
 }
 
@@ -239,60 +247,6 @@ unsafe fn syrk_rank1_lower_avx2_impl(row: &[f64], acc: &mut [f64]) {
         // acc[p·n .. p·n+p+1] += rp · row[0..=p]
         axpy_avx2_impl(rp, &row[..p + 1], &mut acc[p * n..p * n + p + 1]);
     }
-}
-
-fn gemm_micro_avx2(kc: usize, a_panel: &[f64], b_panel: &[f64], acc: &mut MicroTile<f64>) {
-    debug_assert!(a_panel.len() >= kc * MR);
-    debug_assert!(b_panel.len() >= kc * NR);
-    unsafe { gemm_micro_avx2_impl(kc, a_panel, b_panel, acc) }
-}
-
-/// 4×8 register tile: 8 ymm accumulators (2 per C row), one broadcast
-/// of A per row, two loads of B per rank-1 step — 11 of 16 ymm.
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn gemm_micro_avx2_impl(
-    kc: usize,
-    a_panel: &[f64],
-    b_panel: &[f64],
-    acc: &mut MicroTile<f64>,
-) {
-    // Tile rows are NR_MAX elements apart; this kernel's panel is NR
-    // columns wide, so only the first NR lanes of each row are touched.
-    let cp = acc.as_mut_ptr() as *mut f64;
-    let mut c00 = _mm256_loadu_pd(cp);
-    let mut c01 = _mm256_loadu_pd(cp.add(4));
-    let mut c10 = _mm256_loadu_pd(cp.add(NR_MAX));
-    let mut c11 = _mm256_loadu_pd(cp.add(NR_MAX + 4));
-    let mut c20 = _mm256_loadu_pd(cp.add(2 * NR_MAX));
-    let mut c21 = _mm256_loadu_pd(cp.add(2 * NR_MAX + 4));
-    let mut c30 = _mm256_loadu_pd(cp.add(3 * NR_MAX));
-    let mut c31 = _mm256_loadu_pd(cp.add(3 * NR_MAX + 4));
-    let ap = a_panel.as_ptr();
-    let bp = b_panel.as_ptr();
-    for p in 0..kc {
-        let b0 = _mm256_loadu_pd(bp.add(p * NR));
-        let b1 = _mm256_loadu_pd(bp.add(p * NR + 4));
-        let a0 = _mm256_set1_pd(*ap.add(p * MR));
-        c00 = _mm256_fmadd_pd(a0, b0, c00);
-        c01 = _mm256_fmadd_pd(a0, b1, c01);
-        let a1 = _mm256_set1_pd(*ap.add(p * MR + 1));
-        c10 = _mm256_fmadd_pd(a1, b0, c10);
-        c11 = _mm256_fmadd_pd(a1, b1, c11);
-        let a2 = _mm256_set1_pd(*ap.add(p * MR + 2));
-        c20 = _mm256_fmadd_pd(a2, b0, c20);
-        c21 = _mm256_fmadd_pd(a2, b1, c21);
-        let a3 = _mm256_set1_pd(*ap.add(p * MR + 3));
-        c30 = _mm256_fmadd_pd(a3, b0, c30);
-        c31 = _mm256_fmadd_pd(a3, b1, c31);
-    }
-    _mm256_storeu_pd(cp, c00);
-    _mm256_storeu_pd(cp.add(4), c01);
-    _mm256_storeu_pd(cp.add(NR_MAX), c10);
-    _mm256_storeu_pd(cp.add(NR_MAX + 4), c11);
-    _mm256_storeu_pd(cp.add(2 * NR_MAX), c20);
-    _mm256_storeu_pd(cp.add(2 * NR_MAX + 4), c21);
-    _mm256_storeu_pd(cp.add(3 * NR_MAX), c30);
-    _mm256_storeu_pd(cp.add(3 * NR_MAX + 4), c31);
 }
 
 // ----------------------------------------------------------- AVX2 (f32)
@@ -464,61 +418,6 @@ unsafe fn syrk_rank1_lower_avx2_f32_impl(row: &[f32], acc: &mut [f64]) {
     }
 }
 
-fn gemm_micro_avx2_f32(kc: usize, a_panel: &[f32], b_panel: &[f32], acc: &mut MicroTile<f32>) {
-    debug_assert!(a_panel.len() >= kc * MR);
-    debug_assert!(b_panel.len() >= kc * NR_MAX);
-    unsafe { gemm_micro_avx2_f32_impl(kc, a_panel, b_panel, acc) }
-}
-
-/// 4×16 `f32` register tile (panel width `NR_MAX`): 8 ymm accumulators
-/// (2 per C row), two B loads and four A broadcasts per rank-1 step —
-/// the same instruction mix as the `f64` twin but twice the columns
-/// per tile, so the doubled lane count turns into doubled MAC
-/// throughput instead of extra shuffle traffic.
-#[target_feature(enable = "avx2", enable = "fma")]
-unsafe fn gemm_micro_avx2_f32_impl(
-    kc: usize,
-    a_panel: &[f32],
-    b_panel: &[f32],
-    acc: &mut MicroTile<f32>,
-) {
-    let cp = acc.as_mut_ptr() as *mut f32;
-    let mut c00 = _mm256_loadu_ps(cp);
-    let mut c01 = _mm256_loadu_ps(cp.add(8));
-    let mut c10 = _mm256_loadu_ps(cp.add(NR_MAX));
-    let mut c11 = _mm256_loadu_ps(cp.add(NR_MAX + 8));
-    let mut c20 = _mm256_loadu_ps(cp.add(2 * NR_MAX));
-    let mut c21 = _mm256_loadu_ps(cp.add(2 * NR_MAX + 8));
-    let mut c30 = _mm256_loadu_ps(cp.add(3 * NR_MAX));
-    let mut c31 = _mm256_loadu_ps(cp.add(3 * NR_MAX + 8));
-    let ap = a_panel.as_ptr();
-    let bp = b_panel.as_ptr();
-    for p in 0..kc {
-        let b0 = _mm256_loadu_ps(bp.add(p * NR_MAX));
-        let b1 = _mm256_loadu_ps(bp.add(p * NR_MAX + 8));
-        let a0 = _mm256_set1_ps(*ap.add(p * MR));
-        c00 = _mm256_fmadd_ps(a0, b0, c00);
-        c01 = _mm256_fmadd_ps(a0, b1, c01);
-        let a1 = _mm256_set1_ps(*ap.add(p * MR + 1));
-        c10 = _mm256_fmadd_ps(a1, b0, c10);
-        c11 = _mm256_fmadd_ps(a1, b1, c11);
-        let a2 = _mm256_set1_ps(*ap.add(p * MR + 2));
-        c20 = _mm256_fmadd_ps(a2, b0, c20);
-        c21 = _mm256_fmadd_ps(a2, b1, c21);
-        let a3 = _mm256_set1_ps(*ap.add(p * MR + 3));
-        c30 = _mm256_fmadd_ps(a3, b0, c30);
-        c31 = _mm256_fmadd_ps(a3, b1, c31);
-    }
-    _mm256_storeu_ps(cp, c00);
-    _mm256_storeu_ps(cp.add(8), c01);
-    _mm256_storeu_ps(cp.add(NR_MAX), c10);
-    _mm256_storeu_ps(cp.add(NR_MAX + 8), c11);
-    _mm256_storeu_ps(cp.add(2 * NR_MAX), c20);
-    _mm256_storeu_ps(cp.add(2 * NR_MAX + 8), c21);
-    _mm256_storeu_ps(cp.add(3 * NR_MAX), c30);
-    _mm256_storeu_ps(cp.add(3 * NR_MAX + 8), c31);
-}
-
 // -------------------------------------------------------------- AVX-512
 
 fn dot_avx512(x: &[f64], y: &[f64]) -> f64 {
@@ -679,43 +578,6 @@ unsafe fn syrk_rank1_lower_avx512_impl(row: &[f64], acc: &mut [f64]) {
         }
         axpy_avx512_impl(rp, &row[..p + 1], &mut acc[p * n..p * n + p + 1]);
     }
-}
-
-fn gemm_micro_avx512(kc: usize, a_panel: &[f64], b_panel: &[f64], acc: &mut MicroTile<f64>) {
-    debug_assert!(a_panel.len() >= kc * MR);
-    debug_assert!(b_panel.len() >= kc * NR);
-    unsafe { gemm_micro_avx512_impl(kc, a_panel, b_panel, acc) }
-}
-
-/// 4×8 register tile with one zmm per C row: 4 accumulators, one B
-/// load, four A broadcasts per rank-1 step.
-#[target_feature(enable = "avx512f")]
-unsafe fn gemm_micro_avx512_impl(
-    kc: usize,
-    a_panel: &[f64],
-    b_panel: &[f64],
-    acc: &mut MicroTile<f64>,
-) {
-    // Tile rows are NR_MAX elements apart; only the first NR lanes of
-    // each row (one zmm) belong to this kernel's panel.
-    let cp = acc.as_mut_ptr() as *mut f64;
-    let mut c0 = _mm512_loadu_pd(cp);
-    let mut c1 = _mm512_loadu_pd(cp.add(NR_MAX));
-    let mut c2 = _mm512_loadu_pd(cp.add(2 * NR_MAX));
-    let mut c3 = _mm512_loadu_pd(cp.add(3 * NR_MAX));
-    let ap = a_panel.as_ptr();
-    let bp = b_panel.as_ptr();
-    for p in 0..kc {
-        let b = _mm512_loadu_pd(bp.add(p * NR));
-        c0 = _mm512_fmadd_pd(_mm512_set1_pd(*ap.add(p * MR)), b, c0);
-        c1 = _mm512_fmadd_pd(_mm512_set1_pd(*ap.add(p * MR + 1)), b, c1);
-        c2 = _mm512_fmadd_pd(_mm512_set1_pd(*ap.add(p * MR + 2)), b, c2);
-        c3 = _mm512_fmadd_pd(_mm512_set1_pd(*ap.add(p * MR + 3)), b, c3);
-    }
-    _mm512_storeu_pd(cp, c0);
-    _mm512_storeu_pd(cp.add(NR_MAX), c1);
-    _mm512_storeu_pd(cp.add(2 * NR_MAX), c2);
-    _mm512_storeu_pd(cp.add(3 * NR_MAX), c3);
 }
 
 // --------------------------------------------------------- AVX-512 (f32)
@@ -910,67 +772,283 @@ unsafe fn syrk_rank1_lower_avx512_f32_impl(row: &[f32], acc: &mut [f64]) {
     }
 }
 
-fn gemm_micro_avx512_f32(kc: usize, a_panel: &[f32], b_panel: &[f32], acc: &mut MicroTile<f32>) {
-    debug_assert!(a_panel.len() >= kc * MR);
-    debug_assert!(b_panel.len() >= kc * NR_MAX);
-    unsafe { gemm_micro_avx512_f32_impl(kc, a_panel, b_panel, acc) }
+// ------------------------------------------------------------ GEMM tiles
+//
+// One tile geometry for every tier and element type: MR = two vectors
+// along m (the tensor's I_n rows), B broadcast along n (the rank) at an
+// exact panel width w <= nr, 2·w independent accumulators. A full-width
+// panel holds 24 zmm accumulators on AVX-512 and 12 ymm on AVX2, leaving
+// room for the two A vectors and one broadcast.
+
+/// Widest rank panel of the AVX-512 tiles (24 of 32 zmm accumulate).
+const NR_AVX512: usize = 12;
+/// Widest rank panel of the AVX2 tiles (12 of 16 ymm accumulate).
+const NR_AVX2: usize = 6;
+
+/// Defines a tile's safe `gemm_micro` wrapper `$micro` and the
+/// `MR × W` kernel `$tile` (`MR = 2·lanes`) it dispatches to, one
+/// const-generic instantiation per listed width `1..=nr`. Per step the
+/// kernel loads two A vectors (`a[p·MR ..]`), broadcasts `W` entries of
+/// B (`b[p·W ..]`) and issues `2·W` FMAs into register accumulators,
+/// which it adds into the column-major tile `t` at the end.
+macro_rules! simd_gemm_micro {
+    ($micro:ident, $tile:ident, $t:ty, $feat:literal, $lanes:literal, $nr:expr, [$($w:literal),*],
+     $zero:ident, $load:ident, $store:ident, $set1:ident, $fma:ident, $add:ident) => {
+        fn $micro(kc: usize, w: usize, a_panel: &[$t], b_panel: &[$t], tile: &mut [$t]) {
+            check_micro_args(2 * $lanes, $nr, kc, w, a_panel.len(), b_panel.len(), tile.len());
+            let (a, b, t) = (a_panel.as_ptr(), b_panel.as_ptr(), tile.as_mut_ptr());
+            // SAFETY: the set holding this kernel exists only where its
+            // target features were detected, and the check above bounds
+            // every panel read and tile access.
+            unsafe {
+                match w {
+                    $($w => $tile::<$w>(kc, a, b, t),)*
+                    _ => unreachable!("panel width is checked by check_micro_args"),
+                }
+            }
+        }
+
+        /// # Safety
+        /// The CPU supports the tile's target features; `a` is readable
+        /// for `kc·MR` elements, `b` for `kc·W`, and `t` is readable and
+        /// writable for `MR·W`.
+        #[target_feature(enable = $feat)]
+        unsafe fn $tile<const W: usize>(kc: usize, a: *const $t, b: *const $t, t: *mut $t) {
+            const MR: usize = 2 * $lanes;
+            let mut lo = [$zero(); W];
+            let mut hi = [$zero(); W];
+            for p in 0..kc {
+                let a0 = $load(a.add(MR * p));
+                let a1 = $load(a.add(MR * p + $lanes));
+                let bp = b.add(W * p);
+                for j in 0..W {
+                    let bj = $set1(*bp.add(j));
+                    lo[j] = $fma(a0, bj, lo[j]);
+                    hi[j] = $fma(a1, bj, hi[j]);
+                }
+            }
+            for j in 0..W {
+                let tj = t.add(MR * j);
+                $store(tj, $add($load(tj), lo[j]));
+                $store(tj.add($lanes), $add($load(tj.add($lanes)), hi[j]));
+            }
+        }
+    };
 }
 
-/// 4×16 `f32` tile (panel width `NR_MAX`), one zmm per C row: each
-/// rank-1 step is a single 16-lane B load plus four A broadcast-loads
-/// feeding four FMAs — the same instruction mix as the `f64` twin for
-/// twice the columns, and no cross-lane shuffles stealing FMA-port
-/// slots. The k loop is unrolled by two with a second accumulator bank
-/// so eight independent chains cover the FMA latency.
+simd_gemm_micro! {
+    gemm_micro_avx2, tile_avx2, f64, "avx2,fma", 4, NR_AVX2, [1, 2, 3, 4, 5, 6],
+    _mm256_setzero_pd, _mm256_loadu_pd, _mm256_storeu_pd, _mm256_set1_pd, _mm256_fmadd_pd, _mm256_add_pd
+}
+simd_gemm_micro! {
+    gemm_micro_avx2_f32, tile_avx2_f32, f32, "avx2,fma", 8, NR_AVX2, [1, 2, 3, 4, 5, 6],
+    _mm256_setzero_ps, _mm256_loadu_ps, _mm256_storeu_ps, _mm256_set1_ps, _mm256_fmadd_ps, _mm256_add_ps
+}
+simd_gemm_micro! {
+    gemm_micro_avx512, tile_avx512, f64, "avx512f", 8, NR_AVX512, [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12],
+    _mm512_setzero_pd, _mm512_loadu_pd, _mm512_storeu_pd, _mm512_set1_pd, _mm512_fmadd_pd, _mm512_add_pd
+}
+simd_gemm_micro! {
+    gemm_micro_avx512_f32, tile_avx512_f32, f32, "avx512f", 16, NR_AVX512, [1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12],
+    _mm512_setzero_ps, _mm512_loadu_ps, _mm512_storeu_ps, _mm512_set1_ps, _mm512_fmadd_ps, _mm512_add_ps
+}
+
+// --------------------------------------------- transposing packs of A
+//
+// A with unit column stride (row-major tensor blocks, the last mode,
+// the 2-step `X(0:n−1)ᵀ`) is packed `lanes` rows at a time: load one
+// vector from each row, transpose the `lanes × lanes` block in
+// registers, and store each column as one vector of the micro-panel.
+
+/// Defines a `pack_rows` wrapper for an `MR = 2·lanes` tile on top of
+/// an in-register `lanes × lanes` transpose.
+macro_rules! simd_pack_rows {
+    ($name:ident, $imp:ident, $t:ty, $feat:literal, $lanes:literal,
+     $zero:ident, $load:ident, $store:ident, $transpose:ident) => {
+        fn $name(rows: &[&[$t]], dst: &mut [$t]) {
+            let kc = check_pack_rows(2 * $lanes, rows, dst.len());
+            // SAFETY: the set exists only where the target features were
+            // detected; the check bounds every row read and panel write.
+            unsafe { $imp(rows, kc, dst) }
+        }
+
+        /// # Safety
+        /// The CPU supports the target features, every row has `kc`
+        /// elements, `rows.len() <= MR` and `dst.len() >= kc·MR`.
+        #[target_feature(enable = $feat)]
+        unsafe fn $imp(rows: &[&[$t]], kc: usize, dst: &mut [$t]) {
+            const L: usize = $lanes;
+            const MR: usize = 2 * L;
+            let d = dst.as_mut_ptr();
+            for g in 0..2 {
+                let group = rows.get(g * L..).unwrap_or(&[]);
+                let group = &group[..group.len().min(L)];
+                let mut p = 0;
+                while p + L <= kc {
+                    let mut r = [$zero(); L];
+                    for (v, row) in r.iter_mut().zip(group) {
+                        *v = $load(row.as_ptr().add(p));
+                    }
+                    for (j, col) in $transpose(r).into_iter().enumerate() {
+                        $store(d.add((p + j) * MR + g * L), col);
+                    }
+                    p += L;
+                }
+                for p in p..kc {
+                    for i in 0..L {
+                        *d.add(p * MR + g * L + i) = group.get(i).map_or(0.0, |row| row[p]);
+                    }
+                }
+            }
+        }
+    };
+}
+
+simd_pack_rows! {
+    pack_rows_avx2, pack_rows_avx2_impl, f64, "avx2", 4,
+    _mm256_setzero_pd, _mm256_loadu_pd, _mm256_storeu_pd, transpose4_pd
+}
+simd_pack_rows! {
+    pack_rows_avx2_f32, pack_rows_avx2_f32_impl, f32, "avx2", 8,
+    _mm256_setzero_ps, _mm256_loadu_ps, _mm256_storeu_ps, transpose8_ps
+}
+simd_pack_rows! {
+    pack_rows_avx512, pack_rows_avx512_impl, f64, "avx512f", 8,
+    _mm512_setzero_pd, _mm512_loadu_pd, _mm512_storeu_pd, transpose8_pd
+}
+simd_pack_rows! {
+    pack_rows_avx512_f32, pack_rows_avx512_f32_impl, f32, "avx512f", 16,
+    _mm512_setzero_ps, _mm512_loadu_ps, _mm512_storeu_ps, transpose16_ps
+}
+
+/// 4×4 `f64` transpose: `out[j]` lane `i` is `r[i]` lane `j`.
+///
+/// # Safety
+/// The CPU supports AVX2.
+#[target_feature(enable = "avx2")]
+unsafe fn transpose4_pd(r: [__m256d; 4]) -> [__m256d; 4] {
+    // t[0]/t[1]: even/odd columns of rows 0–1, per 128-bit half.
+    let t = [
+        _mm256_unpacklo_pd(r[0], r[1]),
+        _mm256_unpackhi_pd(r[0], r[1]),
+        _mm256_unpacklo_pd(r[2], r[3]),
+        _mm256_unpackhi_pd(r[2], r[3]),
+    ];
+    [
+        _mm256_permute2f128_pd::<0x20>(t[0], t[2]),
+        _mm256_permute2f128_pd::<0x20>(t[1], t[3]),
+        _mm256_permute2f128_pd::<0x31>(t[0], t[2]),
+        _mm256_permute2f128_pd::<0x31>(t[1], t[3]),
+    ]
+}
+
+/// 8×8 `f32` transpose: `out[j]` lane `i` is `r[i]` lane `j`.
+///
+/// # Safety
+/// The CPU supports AVX2.
+#[target_feature(enable = "avx2")]
+unsafe fn transpose8_ps(r: [__m256; 8]) -> [__m256; 8] {
+    // x[c][g], g = row quad: lane 4h + k holds column 4h + c of row 4g + k.
+    let mut x = [[_mm256_setzero_pd(); 2]; 4];
+    for g in 0..2 {
+        let q = 4 * g;
+        let lo01 = _mm256_castps_pd(_mm256_unpacklo_ps(r[q], r[q + 1]));
+        let lo23 = _mm256_castps_pd(_mm256_unpacklo_ps(r[q + 2], r[q + 3]));
+        let hi01 = _mm256_castps_pd(_mm256_unpackhi_ps(r[q], r[q + 1]));
+        let hi23 = _mm256_castps_pd(_mm256_unpackhi_ps(r[q + 2], r[q + 3]));
+        x[0][g] = _mm256_unpacklo_pd(lo01, lo23);
+        x[1][g] = _mm256_unpackhi_pd(lo01, lo23);
+        x[2][g] = _mm256_unpacklo_pd(hi01, hi23);
+        x[3][g] = _mm256_unpackhi_pd(hi01, hi23);
+    }
+    let mut out = [_mm256_setzero_ps(); 8];
+    for c in 0..4 {
+        let (a, b) = (_mm256_castpd_ps(x[c][0]), _mm256_castpd_ps(x[c][1]));
+        out[c] = _mm256_permute2f128_ps::<0x20>(a, b);
+        out[c + 4] = _mm256_permute2f128_ps::<0x31>(a, b);
+    }
+    out
+}
+
+/// 128-bit-lane selectors of `vshuff64x2` / `vshuff32x4`: lanes 0 and 2
+/// (`LANES02`) or 1 and 3 (`LANES13`) of each source.
+const LANES02: i32 = 0b10_00_10_00;
+const LANES13: i32 = 0b11_01_11_01;
+
+/// 8×8 `f64` transpose: `out[j]` lane `i` is `r[i]` lane `j`.
+///
+/// # Safety
+/// The CPU supports AVX-512F.
 #[target_feature(enable = "avx512f")]
-unsafe fn gemm_micro_avx512_f32_impl(
-    kc: usize,
-    a_panel: &[f32],
-    b_panel: &[f32],
-    acc: &mut MicroTile<f32>,
-) {
-    let cp = acc.as_mut_ptr() as *mut f32;
-    let ap = a_panel.as_ptr();
-    let bp = b_panel.as_ptr();
-    let mut z00 = _mm512_setzero_ps();
-    let mut z10 = _mm512_setzero_ps();
-    let mut z20 = _mm512_setzero_ps();
-    let mut z30 = _mm512_setzero_ps();
-    let mut z01 = _mm512_setzero_ps();
-    let mut z11 = _mm512_setzero_ps();
-    let mut z21 = _mm512_setzero_ps();
-    let mut z31 = _mm512_setzero_ps();
-    let kc2 = kc & !1;
-    let mut p = 0;
-    while p < kc2 {
-        let b0 = _mm512_loadu_ps(bp.add(p * NR_MAX));
-        z00 = _mm512_fmadd_ps(_mm512_set1_ps(*ap.add(p * MR)), b0, z00);
-        z10 = _mm512_fmadd_ps(_mm512_set1_ps(*ap.add(p * MR + 1)), b0, z10);
-        z20 = _mm512_fmadd_ps(_mm512_set1_ps(*ap.add(p * MR + 2)), b0, z20);
-        z30 = _mm512_fmadd_ps(_mm512_set1_ps(*ap.add(p * MR + 3)), b0, z30);
-        let b1 = _mm512_loadu_ps(bp.add((p + 1) * NR_MAX));
-        z01 = _mm512_fmadd_ps(_mm512_set1_ps(*ap.add((p + 1) * MR)), b1, z01);
-        z11 = _mm512_fmadd_ps(_mm512_set1_ps(*ap.add((p + 1) * MR + 1)), b1, z11);
-        z21 = _mm512_fmadd_ps(_mm512_set1_ps(*ap.add((p + 1) * MR + 2)), b1, z21);
-        z31 = _mm512_fmadd_ps(_mm512_set1_ps(*ap.add((p + 1) * MR + 3)), b1, z31);
-        p += 2;
+unsafe fn transpose8_pd(r: [__m512d; 8]) -> [__m512d; 8] {
+    let mut out = [_mm512_setzero_pd(); 8];
+    for s in 0..2 {
+        // Row pairs' columns s, s+2, s+4, s+6 (one 128-bit lane each).
+        let [t01, t23, t45, t67] = if s == 0 {
+            [
+                _mm512_unpacklo_pd(r[0], r[1]),
+                _mm512_unpacklo_pd(r[2], r[3]),
+                _mm512_unpacklo_pd(r[4], r[5]),
+                _mm512_unpacklo_pd(r[6], r[7]),
+            ]
+        } else {
+            [
+                _mm512_unpackhi_pd(r[0], r[1]),
+                _mm512_unpackhi_pd(r[2], r[3]),
+                _mm512_unpackhi_pd(r[4], r[5]),
+                _mm512_unpackhi_pd(r[6], r[7]),
+            ]
+        };
+        // Rows 0–3 / 4–7, columns (s, s+4) and (s+2, s+6).
+        let u_lo = _mm512_shuffle_f64x2::<LANES02>(t01, t23);
+        let u_hi = _mm512_shuffle_f64x2::<LANES13>(t01, t23);
+        let v_lo = _mm512_shuffle_f64x2::<LANES02>(t45, t67);
+        let v_hi = _mm512_shuffle_f64x2::<LANES13>(t45, t67);
+        out[s] = _mm512_shuffle_f64x2::<LANES02>(u_lo, v_lo);
+        out[s + 4] = _mm512_shuffle_f64x2::<LANES13>(u_lo, v_lo);
+        out[s + 2] = _mm512_shuffle_f64x2::<LANES02>(u_hi, v_hi);
+        out[s + 6] = _mm512_shuffle_f64x2::<LANES13>(u_hi, v_hi);
     }
-    if kc2 < kc {
-        // Odd trailing step into the first bank.
-        let p = kc2;
-        let b0 = _mm512_loadu_ps(bp.add(p * NR_MAX));
-        z00 = _mm512_fmadd_ps(_mm512_set1_ps(*ap.add(p * MR)), b0, z00);
-        z10 = _mm512_fmadd_ps(_mm512_set1_ps(*ap.add(p * MR + 1)), b0, z10);
-        z20 = _mm512_fmadd_ps(_mm512_set1_ps(*ap.add(p * MR + 2)), b0, z20);
-        z30 = _mm512_fmadd_ps(_mm512_set1_ps(*ap.add(p * MR + 3)), b0, z30);
+    out
+}
+
+/// 16×16 `f32` transpose: `out[j]` lane `i` is `r[i]` lane `j`.
+///
+/// # Safety
+/// The CPU supports AVX-512F.
+#[target_feature(enable = "avx512f")]
+unsafe fn transpose16_ps(r: [__m512; 16]) -> [__m512; 16] {
+    // x[c][g], g = row quad: 128-bit lane h holds column 4h + c of rows
+    // 4g .. 4g+3.
+    let mut x = [[_mm512_setzero_pd(); 4]; 4];
+    for g in 0..4 {
+        let q = 4 * g;
+        let lo01 = _mm512_castps_pd(_mm512_unpacklo_ps(r[q], r[q + 1]));
+        let lo23 = _mm512_castps_pd(_mm512_unpacklo_ps(r[q + 2], r[q + 3]));
+        let hi01 = _mm512_castps_pd(_mm512_unpackhi_ps(r[q], r[q + 1]));
+        let hi23 = _mm512_castps_pd(_mm512_unpackhi_ps(r[q + 2], r[q + 3]));
+        x[0][g] = _mm512_unpacklo_pd(lo01, lo23);
+        x[1][g] = _mm512_unpackhi_pd(lo01, lo23);
+        x[2][g] = _mm512_unpacklo_pd(hi01, hi23);
+        x[3][g] = _mm512_unpackhi_pd(hi01, hi23);
     }
-    // Fold the banks and add into the existing tile.
-    let c0 = _mm512_add_ps(_mm512_loadu_ps(cp), _mm512_add_ps(z00, z01));
-    let c1 = _mm512_add_ps(_mm512_loadu_ps(cp.add(NR_MAX)), _mm512_add_ps(z10, z11));
-    let c2 = _mm512_add_ps(_mm512_loadu_ps(cp.add(2 * NR_MAX)), _mm512_add_ps(z20, z21));
-    let c3 = _mm512_add_ps(_mm512_loadu_ps(cp.add(3 * NR_MAX)), _mm512_add_ps(z30, z31));
-    _mm512_storeu_ps(cp, c0);
-    _mm512_storeu_ps(cp.add(NR_MAX), c1);
-    _mm512_storeu_ps(cp.add(2 * NR_MAX), c2);
-    _mm512_storeu_ps(cp.add(3 * NR_MAX), c3);
+    let mut out = [_mm512_setzero_ps(); 16];
+    for c in 0..4 {
+        let q = [
+            _mm512_castpd_ps(x[c][0]),
+            _mm512_castpd_ps(x[c][1]),
+            _mm512_castpd_ps(x[c][2]),
+            _mm512_castpd_ps(x[c][3]),
+        ];
+        // Columns (c, c+8) and (c+4, c+12) of rows 0–7 / 8–15.
+        let y0 = _mm512_shuffle_f32x4::<LANES02>(q[0], q[1]);
+        let y1 = _mm512_shuffle_f32x4::<LANES13>(q[0], q[1]);
+        let y2 = _mm512_shuffle_f32x4::<LANES02>(q[2], q[3]);
+        let y3 = _mm512_shuffle_f32x4::<LANES13>(q[2], q[3]);
+        out[c] = _mm512_shuffle_f32x4::<LANES02>(y0, y2);
+        out[c + 8] = _mm512_shuffle_f32x4::<LANES13>(y0, y2);
+        out[c + 4] = _mm512_shuffle_f32x4::<LANES02>(y1, y3);
+        out[c + 12] = _mm512_shuffle_f32x4::<LANES13>(y1, y3);
+    }
+    out
 }

@@ -154,7 +154,8 @@ pub trait Scalar:
     fn simd_set(tier: KernelTier) -> Option<KernelSet<Self>>;
 
     /// Run `f` with this thread's reusable GEMM pack buffers
-    /// (`a_pack`, `b_pack`) for this element type.
+    /// (packed A; packed B followed by the packed C block) for this
+    /// element type.
     #[doc(hidden)]
     fn with_pack_buffers<R>(f: impl FnOnce(&mut Vec<Self>, &mut Vec<Self>) -> R) -> R;
 }

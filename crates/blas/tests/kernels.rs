@@ -2,14 +2,16 @@
 //! supports must agree with the scalar reference to ≤ 1e-13 relative
 //! error on seeded random inputs, including unaligned/remainder
 //! lengths, `alpha == 0`, the NaN-clearing `beta` semantics of the full
-//! GEMM, and tiles smaller than `MR × NR`.
+//! GEMM, every rank-panel width of the microkernel, and the CP shapes
+//! (tall `m`, narrow ragged `n`, deep `k`) over all three pack classes
+//! of A.
 //!
 //! The `f32` kernel sets are held to the same structure: the two `f64`
 //! reductions (`dot`, SYRK) keep near-f64 tolerances because they
 //! accumulate in `f64` on every tier, while the natively-`f32`
 //! elementwise and GEMM kernels get f32-appropriate budgets.
 
-use mttkrp_blas::kernels::{available_tiers, KernelSet, KernelTier, MicroTile, MR, NR_MAX};
+use mttkrp_blas::kernels::{available_tiers, KernelSet, KernelTier};
 use mttkrp_blas::{gemm_with, syrk_t_with, Layout, MatMut, MatRef};
 
 /// Relative-error budget of the acceptance criterion.
@@ -162,85 +164,138 @@ fn syrk_rank1_lower_with_zero_entries_skips_consistently() {
 
 #[test]
 fn gemm_micro_matches_naive_panel_product() {
-    // Sets may use different panel widths (`ks.nr()`), so each is
-    // checked against a naive product over its own packed layout
-    // (the same summation order as the scalar reference kernel).
+    // Every set at every panel width `1..=nr`, against a naive product
+    // over its own packed layout (`a_panel[p·mr + i]`, `b_panel[p·w + j]`,
+    // column-major `mr × w` tile).
     for (tier, ks) in std::iter::once((KernelTier::Scalar, KernelSet::scalar())).chain(simd_tiers())
     {
-        let nr = ks.nr();
-        for kc in [0usize, 1, 2, 3, 8, 17, 100, 255, 256] {
-            let a_panel = rand_vec(kc * MR, 51 + kc as u64);
-            let b_panel = rand_vec(kc * nr, 53 + kc as u64);
-            let init = rand_vec(MR * nr, 57 + kc as u64);
-            let mut got: MicroTile<f64> = [[0.0; NR_MAX]; MR];
-            for i in 0..MR {
-                got[i][..nr].copy_from_slice(&init[i * nr..(i + 1) * nr]);
-            }
-            (ks.gemm_micro)(kc, &a_panel, &b_panel, &mut got);
-            let mut want = init.clone();
-            for p in 0..kc {
-                for i in 0..MR {
-                    for j in 0..nr {
-                        want[i * nr + j] += a_panel[p * MR + i] * b_panel[p * nr + j];
+        let mr = ks.mr();
+        for w in 1..=ks.nr() {
+            for kc in [0usize, 1, 2, 3, 8, 17, 100, 255, 256] {
+                let a_panel = rand_vec(kc * mr, 51 + kc as u64);
+                let b_panel = rand_vec(kc * w, 53 + (kc * w) as u64);
+                let init = rand_vec(mr * w, 57 + kc as u64);
+                let mut got = init.clone();
+                (ks.gemm_micro)(kc, w, &a_panel, &b_panel, &mut got);
+                let mut want = init;
+                for p in 0..kc {
+                    for j in 0..w {
+                        for i in 0..mr {
+                            want[j * mr + i] += a_panel[p * mr + i] * b_panel[p * w + j];
+                        }
                     }
                 }
+                assert_all_close(&got, &want, &format!("gemm_micro {tier} w={w} kc={kc}"));
             }
-            for i in 0..MR {
-                assert_all_close(
-                    &got[i][..nr],
-                    &want[i * nr..(i + 1) * nr],
-                    &format!("gemm_micro {tier} kc={kc} row {i}"),
-                );
-            }
+        }
+    }
+}
+
+/// How the full-GEMM parity tests lay out A, one per pack class.
+#[derive(Debug, Clone, Copy)]
+enum AForm {
+    /// Unit row stride: the vector-copy pack.
+    ColMajor,
+    /// Unit column stride: the transposing pack.
+    RowMajor,
+    /// Every other row of a column-major buffer, viewed transposed
+    /// twice: neither stride is 1, so the element-wise pack runs.
+    Strided,
+}
+
+/// One full-GEMM parity case.
+#[derive(Debug, Clone, Copy)]
+struct GemmCase {
+    m: usize,
+    n: usize,
+    k: usize,
+    form: AForm,
+    alpha: f64,
+    beta: f64,
+}
+
+/// The CP shapes for a tile of height `mr`: every
+/// `n ∈ {1, 5, 8, 9, 12, 13, 16, 24, 25, 64}` against every
+/// `m ∈ {1, mr−1, mr, mr+1, 200, 225}`, each paired with one of
+/// `k ∈ {3, 257, 513}`, one A form, one `α ∈ {0, 1, −1.5}` and one
+/// `β ∈ {0, 1, 2}`, picked by a counter that mixes `n` and `m` so every
+/// `m` meets every k, form, α and β across the `n` sweep.
+fn gemm_cases(mr: usize) -> Vec<GemmCase> {
+    const KS: [usize; 3] = [3, 257, 513];
+    const FORMS: [AForm; 3] = [AForm::ColMajor, AForm::RowMajor, AForm::Strided];
+    const ALPHAS: [f64; 3] = [0.0, 1.0, -1.5];
+    const BETAS: [f64; 3] = [0.0, 1.0, 2.0];
+    let mut cases = Vec::new();
+    for (ni, &n) in [1usize, 5, 8, 9, 12, 13, 16, 24, 25, 64].iter().enumerate() {
+        for (mi, &m) in [1, mr - 1, mr, mr + 1, 200, 225].iter().enumerate() {
+            let c = 43 * ni + 7 * mi;
+            cases.push(GemmCase {
+                m,
+                n,
+                k: KS[c % 3],
+                form: FORMS[c / 3 % 3],
+                alpha: ALPHAS[c / 9 % 3],
+                beta: BETAS[c / 27 % 3],
+            });
+        }
+    }
+    cases
+}
+
+/// Storage for A under `form` (`m × k`), and the view over it.
+fn a_view<S: mttkrp_blas::Scalar>(data: &[S], m: usize, k: usize, form: AForm) -> MatRef<'_, S> {
+    match form {
+        AForm::ColMajor => MatRef::from_slice(&data[..m * k], m, k, Layout::ColMajor),
+        AForm::RowMajor => MatRef::from_slice(&data[..m * k], m, k, Layout::RowMajor),
+        AForm::Strided => {
+            assert!(data.len() >= 2 * m * k);
+            // SAFETY: element (i, p) sits at 2·i + 2·m·p ≤ 2·m·k − 2,
+            // inside `data`.
+            unsafe { MatRef::from_raw_parts(data.as_ptr(), m, k, 2, 2 * m as isize) }
         }
     }
 }
 
 #[test]
 fn full_gemm_matches_scalar_tier_with_beta_variants() {
-    // End-to-end GEMM parity per tier, including shapes below the
-    // MR × NR tile, shapes crossing the cache-block boundaries, and
-    // the packed path.
+    // End-to-end GEMM parity per tier on the CP shapes: tall m around
+    // the tile height, narrow ragged n, k crossing KC, all three pack
+    // classes of A, and the α/β special values.
     let scalar = KernelSet::scalar();
     for (tier, ks) in simd_tiers() {
-        for &(m, n, k) in &[
-            (1usize, 1usize, 1usize),
-            (2, 3, 4),    // smaller than one MR × NR tile
-            (3, 7, 5),    // ragged corner tiles
-            (4, 8, 256),  // exactly one tile, deep K
-            (65, 9, 257), // crosses MC and KC
-            (37, 90, 64), // packed path
-        ] {
-            for &beta in &[0.0, 1.0, 2.0] {
-                let a_data = rand_vec(m * k, (m * 31 + k) as u64);
-                let b_data = rand_vec(k * n, (k * 17 + n) as u64);
-                let a = MatRef::from_slice(&a_data, m, k, Layout::ColMajor);
-                let b = MatRef::from_slice(&b_data, k, n, Layout::RowMajor);
-                let c0 = rand_vec(m * n, 91);
-                let mut want = c0.clone();
-                gemm_with(
-                    &scalar,
-                    1.5,
-                    a,
-                    b,
-                    beta,
-                    MatMut::from_slice(&mut want, m, n, Layout::RowMajor),
-                );
-                let mut got = c0.clone();
-                gemm_with(
-                    &ks,
-                    1.5,
-                    a,
-                    b,
-                    beta,
-                    MatMut::from_slice(&mut got, m, n, Layout::RowMajor),
-                );
-                assert_all_close(
-                    &got,
-                    &want,
-                    &format!("gemm {tier} m={m} n={n} k={k} beta={beta}"),
-                );
-            }
+        for case in gemm_cases(ks.mr()) {
+            let GemmCase {
+                m,
+                n,
+                k,
+                form,
+                alpha,
+                beta,
+            } = case;
+            let a_data = rand_vec(2 * m * k, (m * 31 + k) as u64);
+            let b_data = rand_vec(k * n, (k * 17 + n) as u64);
+            let a = a_view(&a_data, m, k, form);
+            let b = MatRef::from_slice(&b_data, k, n, Layout::RowMajor);
+            let c0 = rand_vec(m * n, 91);
+            let mut want = c0.clone();
+            gemm_with(
+                &scalar,
+                alpha,
+                a,
+                b,
+                beta,
+                MatMut::from_slice(&mut want, m, n, Layout::RowMajor),
+            );
+            let mut got = c0.clone();
+            gemm_with(
+                &ks,
+                alpha,
+                a,
+                b,
+                beta,
+                MatMut::from_slice(&mut got, m, n, Layout::RowMajor),
+            );
+            assert_all_close(&got, &want, &format!("gemm {tier} {case:?}"));
         }
     }
 }
@@ -438,35 +493,33 @@ fn f32_syrk_rank1_lower_matches_scalar() {
 
 #[test]
 fn f32_gemm_micro_matches_naive_panel_product() {
-    // The f32 SIMD sets run 16-column panels (`ks.nr() == NR_MAX`), the
-    // scalar set the base 8 — each is checked over its own layout.
+    // The f32 tiles are twice as tall as their f64 twins (two vectors
+    // of twice the lanes); each is checked at every width over its own
+    // layout.
     for (tier, ks) in
         std::iter::once((KernelTier::Scalar, KernelSet::<f32>::scalar())).chain(simd_tiers_f32())
     {
-        let nr = ks.nr();
-        for kc in [0usize, 1, 2, 3, 8, 17, 100, 255, 256] {
-            let a_panel = rand_vec_f32(kc * MR, 51 + kc as u64);
-            let b_panel = rand_vec_f32(kc * nr, 53 + kc as u64);
-            let init = rand_vec_f32(MR * nr, 57 + kc as u64);
-            let mut got: MicroTile<f32> = [[0.0; NR_MAX]; MR];
-            for i in 0..MR {
-                got[i][..nr].copy_from_slice(&init[i * nr..(i + 1) * nr]);
-            }
-            (ks.gemm_micro)(kc, &a_panel, &b_panel, &mut got);
-            let mut want = init.clone();
-            for p in 0..kc {
-                for i in 0..MR {
-                    for j in 0..nr {
-                        want[i * nr + j] += a_panel[p * MR + i] * b_panel[p * nr + j];
+        let mr = ks.mr();
+        for w in 1..=ks.nr() {
+            for kc in [0usize, 1, 2, 3, 8, 17, 100, 255, 256] {
+                let a_panel = rand_vec_f32(kc * mr, 51 + kc as u64);
+                let b_panel = rand_vec_f32(kc * w, 53 + (kc * w) as u64);
+                let init = rand_vec_f32(mr * w, 57 + kc as u64);
+                let mut got = init.clone();
+                (ks.gemm_micro)(kc, w, &a_panel, &b_panel, &mut got);
+                let mut want = init;
+                for p in 0..kc {
+                    for j in 0..w {
+                        for i in 0..mr {
+                            want[j * mr + i] += a_panel[p * mr + i] * b_panel[p * w + j];
+                        }
                     }
                 }
-            }
-            for i in 0..MR {
                 assert_all_close_f32(
-                    &got[i][..nr],
-                    &want[i * nr..(i + 1) * nr],
+                    &got,
+                    &want,
                     TOL32_GEMM,
-                    &format!("f32 gemm_micro {tier} kc={kc} row {i}"),
+                    &format!("f32 gemm_micro {tier} w={w} kc={kc}"),
                 );
             }
         }
@@ -477,40 +530,43 @@ fn f32_gemm_micro_matches_naive_panel_product() {
 fn f32_full_gemm_and_syrk_match_scalar_tier() {
     let scalar = KernelSet::<f32>::scalar();
     for (tier, ks) in simd_tiers_f32() {
-        for &(m, n, k) in &[
-            (2usize, 3usize, 4usize),
-            (4, 8, 256),
-            (65, 9, 257),
-            (37, 90, 64),
-        ] {
-            let a_data = rand_vec_f32(m * k, (m * 31 + k) as u64);
+        for case in gemm_cases(ks.mr()) {
+            let GemmCase {
+                m,
+                n,
+                k,
+                form,
+                alpha,
+                beta,
+            } = case;
+            let a_data = rand_vec_f32(2 * m * k, (m * 31 + k) as u64);
             let b_data = rand_vec_f32(k * n, (k * 17 + n) as u64);
-            let a = MatRef::from_slice(&a_data, m, k, Layout::ColMajor);
+            let a = a_view(&a_data, m, k, form);
             let b = MatRef::from_slice(&b_data, k, n, Layout::RowMajor);
             let c0 = rand_vec_f32(m * n, 91);
             let mut want = c0.clone();
             gemm_with(
                 &scalar,
-                1.5,
+                alpha,
                 a,
                 b,
-                1.0,
+                beta,
                 MatMut::from_slice(&mut want, m, n, Layout::RowMajor),
             );
             let mut got = c0.clone();
             gemm_with(
                 &ks,
-                1.5,
+                alpha,
                 a,
                 b,
-                1.0,
+                beta,
                 MatMut::from_slice(&mut got, m, n, Layout::RowMajor),
             );
             assert_all_close_f32(
                 &got,
                 &want,
                 TOL32_GEMM,
-                &format!("f32 gemm {tier} {m}x{n}x{k}"),
+                &format!("f32 gemm {tier} {case:?}"),
             );
         }
 

@@ -24,6 +24,7 @@ use std::io::{self, BufRead, BufReader, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream};
 #[cfg(unix)]
 use std::os::unix::net::{UnixListener, UnixStream};
+use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, Ordering};
 use std::sync::{Arc, Mutex};
@@ -47,6 +48,13 @@ use crate::protocol::{FactorPayload, Format, JobEvent, JobRequest, JobSpec};
 /// connection is closed, so a client that never sends `\n` cannot grow
 /// the daemon's memory without bound.
 pub const MAX_LINE_BYTES: usize = 1 << 20;
+
+/// Largest factor-matrix size, `rank × Σ dims` elements, that a job may
+/// allocate (2^27 `f64`s, 1 GiB). A sparse file can declare huge dims
+/// with a handful of nonzeros, so the loaded dims are checked against
+/// this before any factor is allocated; a larger job gets an `error`
+/// event.
+pub const MAX_FACTOR_ELEMS: usize = 1 << 27;
 
 /// Where the daemon listens.
 #[derive(Debug, Clone)]
@@ -423,7 +431,24 @@ fn spawn_driver(shared: &Arc<Shared>, job: Job) {
 fn run_driver(shared: Arc<Shared>, first: Job) {
     let mut job = first;
     loop {
-        execute_job(&shared, &job);
+        // A panic inside one job is reported to that job's client; the
+        // driver carries on, so the active slot it holds is released.
+        let run = std::panic::catch_unwind(AssertUnwindSafe(|| execute_job(&shared, &job)));
+        if let Err(payload) = run {
+            mttkrp_obs::counter!("serve.jobs_panicked").incr();
+            let msg = payload
+                .downcast_ref::<&str>()
+                .map(|s| s.to_string())
+                .or_else(|| payload.downcast_ref::<String>().cloned())
+                .unwrap_or_else(|| "non-string panic payload".into());
+            emit(
+                &job.writer,
+                &JobEvent::Error {
+                    id: job.id.clone(),
+                    reason: format!("job panicked: {msg}"),
+                },
+            );
+        }
         shared.cancels.lock().unwrap().remove(&job.id);
         match shared.admission.finish() {
             Some(next) => job = next,
@@ -482,6 +507,24 @@ fn execute_job(shared: &Arc<Shared>, job: &Job) {
             &JobEvent::Error {
                 id: job.id.clone(),
                 reason: "degenerate tensor or rank".into(),
+            },
+        );
+        return;
+    }
+    let factor_elems = dims
+        .iter()
+        .try_fold(0usize, |sum, &d| sum.checked_add(d))
+        .and_then(|sum| sum.checked_mul(spec.rank));
+    if factor_elems.is_none_or(|e| e > MAX_FACTOR_ELEMS) {
+        emit(
+            &job.writer,
+            &JobEvent::Error {
+                id: job.id.clone(),
+                reason: format!(
+                    "factor matrices of rank {} over dims {dims:?} exceed \
+                     {MAX_FACTOR_ELEMS} elements",
+                    spec.rank
+                ),
             },
         );
         return;

@@ -2,13 +2,14 @@
 //! concurrent mixed-format jobs finish with *exactly* the fits a direct
 //! in-process CP-ALS run produces, cancellation hands the freed slot to
 //! a queued job, a full admission queue rejects with 429-style
-//! backpressure, and a hostile request line is refused without harming
-//! other tenants.
+//! backpressure, and a hostile request line or tensor file is refused
+//! without harming other tenants.
 #![cfg(unix)]
 
 use std::io::{BufRead, BufReader, Write};
 use std::os::unix::net::UnixStream;
 use std::path::{Path, PathBuf};
+use std::time::Duration;
 
 use mttkrp_repro::cpals::{cp_als, CpAlsOptions, KruskalModel, MttkrpStrategy};
 use mttkrp_repro::ooc::{OocTensor, TileStore, TiledLayout};
@@ -19,7 +20,7 @@ use mttkrp_repro::serve::server::Bind;
 use mttkrp_repro::serve::{
     AdmissionConfig, Format, JobEvent, JobRequest, JobSpec, Server, ServerConfig, MAX_LINE_BYTES,
 };
-use mttkrp_repro::sparse::CsfTensor;
+use mttkrp_repro::sparse::{CooTensor, CsfTensor};
 use mttkrp_repro::tensor::DenseTensor;
 use mttkrp_repro::workloads::{random_sparse, write_sparse, write_tensor};
 
@@ -37,6 +38,10 @@ struct Client {
 impl Client {
     fn connect(sock: &Path) -> Client {
         let writer = UnixStream::connect(sock).expect("connect to daemon");
+        // A daemon that never answers fails the test instead of hanging it.
+        writer
+            .set_read_timeout(Some(Duration::from_secs(120)))
+            .expect("set read timeout");
         let reader = BufReader::new(writer.try_clone().expect("clone stream"));
         Client { reader, writer }
     }
@@ -445,6 +450,78 @@ fn hostile_nesting_is_rejected_and_other_tenants_are_unharmed() {
         want.last().unwrap().to_bits(),
         "final_fit must equal the in-process run"
     );
+    server.stop();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Sparse files whose declared dims make the factor matrices impossible
+/// with two nonzeros: `[2^32, 4]` used to abort the daemon on a 34 GB
+/// factor allocation, and `[2^60, 4]` used to panic its driver
+/// ("capacity overflow") and leak the admission slot. Both jobs must end
+/// with `error`; with `max_active = 1`, a job on another connection
+/// must still start, reproduce the in-process fit, and leave no slot
+/// behind.
+#[test]
+fn huge_sparse_dims_get_error_and_release_the_slot() {
+    let dir = fresh_dir("huge_dims");
+    let x = write_workloads(&dir);
+    let want = reference_fits(&x, &DIMS, 23);
+    for (file, d0) in [("huge32.mtks", 1usize << 32), ("huge60.mtks", 1usize << 60)] {
+        let coo = CooTensor::from_entries(&[d0, 4], vec![0, 0, d0 - 1, 3], vec![1.0, 2.0]);
+        write_sparse(dir.join(file), &coo).expect("write huge sparse");
+    }
+    let (mut server, sock) = start(
+        &dir,
+        AdmissionConfig {
+            max_active: 1,
+            queue_cap: 1,
+        },
+    );
+
+    let mut hostile = Client::connect(&sock);
+    for (id, file) in [("h32", "huge32.mtks"), ("h60", "huge60.mtks")] {
+        hostile.send(&JobRequest::Submit {
+            id: id.into(),
+            spec: spec(&dir, file, Format::Sparse, ITERS, 1),
+        });
+        loop {
+            match hostile.next_event() {
+                JobEvent::Accepted { id: eid, .. } => assert_eq!(eid, id),
+                JobEvent::Error { id: eid, reason } => {
+                    assert_eq!(eid, id);
+                    assert!(reason.contains("exceed"), "{id}: {reason}");
+                    break;
+                }
+                other => panic!("{id}: unexpected event {other:?}"),
+            }
+        }
+    }
+
+    let mut tenant = Client::connect(&sock);
+    let fits = run_to_done(
+        &mut tenant,
+        "after",
+        spec(&dir, "x.mtkt", Format::Dense, ITERS, 23),
+    );
+    assert_eq!(
+        fits.last().unwrap().to_bits(),
+        want.last().unwrap().to_bits(),
+        "final_fit must equal the in-process run"
+    );
+    // The driver releases its slot right after `done`.
+    let mut idle = false;
+    for _ in 0..500 {
+        tenant.send(&JobRequest::Status);
+        match tenant.next_event() {
+            JobEvent::Status { active, queued, .. } if active == 0 && queued == 0 => {
+                idle = true;
+                break;
+            }
+            JobEvent::Status { .. } => std::thread::sleep(Duration::from_millis(10)),
+            other => panic!("status: unexpected event {other:?}"),
+        }
+    }
+    assert!(idle, "an admission slot leaked");
     server.stop();
     std::fs::remove_dir_all(&dir).ok();
 }
