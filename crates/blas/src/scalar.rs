@@ -15,8 +15,14 @@
 //! [`crate::KernelSet::dot`] and [`crate::KernelSet::syrk_rank1_lower`]),
 //! so `f32` factor matrices lose precision only at the final store, not
 //! inside long reductions.
+//!
+//! The trait also carries the workspace's one binary codec primitive: a
+//! byte view of a slice's storage ([`Scalar::as_bytes`]), through which
+//! [`Scalar::read_le`] and [`Scalar::write_le`] move little-endian
+//! payloads between files and vectors with no per-element conversion.
 
 use std::fmt::{Debug, Display};
+use std::io::{self, Read, Write};
 use std::ops::{Add, AddAssign, Div, DivAssign, Mul, MulAssign, Neg, Sub, SubAssign};
 use std::sync::OnceLock;
 
@@ -158,6 +164,57 @@ pub trait Scalar:
     /// element type.
     #[doc(hidden)]
     fn with_pack_buffers<R>(f: impl FnOnce(&mut Vec<Self>, &mut Vec<Self>) -> R) -> R;
+
+    /// The storage bytes of `xs`, `xs.len() × size_bytes` of them in
+    /// native byte order — on little-endian hosts exactly the
+    /// little-endian encoding the file formats use.
+    fn as_bytes(xs: &[Self]) -> &[u8] {
+        // SAFETY: the trait is sealed to `f32` and `f64`, which have no
+        // padding, so the slice is `size_of_val(xs)` initialized bytes;
+        // `u8` has alignment 1 and the borrow keeps `xs` alive.
+        unsafe { std::slice::from_raw_parts(xs.as_ptr().cast(), std::mem::size_of_val(xs)) }
+    }
+
+    /// The mutable storage bytes of `xs` (see [`Scalar::as_bytes`]).
+    fn as_bytes_mut(xs: &mut [Self]) -> &mut [u8] {
+        // SAFETY: as in `as_bytes`, and every bit pattern is a valid
+        // `f32`/`f64`, so any bytes stored through the view leave `xs`
+        // holding valid values. The exclusive borrow rules out aliasing.
+        unsafe { std::slice::from_raw_parts_mut(xs.as_mut_ptr().cast(), std::mem::size_of_val(xs)) }
+    }
+
+    /// Fill `xs` from its little-endian encoding with one `read_exact`
+    /// straight into the storage. Bit-exact: NaN payloads, signed
+    /// zeros and subnormals arrive unchanged.
+    fn read_le(r: &mut impl Read, xs: &mut [Self]) -> io::Result<()> {
+        r.read_exact(Self::as_bytes_mut(xs))?;
+        #[cfg(target_endian = "big")]
+        swap_bytes(Self::as_bytes_mut(xs), Self::DTYPE.size_bytes());
+        Ok(())
+    }
+
+    /// Write the little-endian encoding of `xs`, straight from the
+    /// storage on little-endian hosts.
+    fn write_le(w: &mut impl Write, xs: &[Self]) -> io::Result<()> {
+        #[cfg(target_endian = "big")]
+        for chunk in xs.chunks(1024) {
+            let mut le = chunk.to_vec();
+            swap_bytes(Self::as_bytes_mut(&mut le), Self::DTYPE.size_bytes());
+            w.write_all(Self::as_bytes(&le))?;
+        }
+        #[cfg(target_endian = "little")]
+        w.write_all(Self::as_bytes(xs))?;
+        Ok(())
+    }
+}
+
+/// Reverse each `esz`-byte element between native and little-endian
+/// order (big-endian hosts only).
+#[cfg(target_endian = "big")]
+fn swap_bytes(bytes: &mut [u8], esz: usize) {
+    for e in bytes.chunks_exact_mut(esz) {
+        e.reverse();
+    }
 }
 
 impl Scalar for f64 {
@@ -367,6 +424,21 @@ mod tests {
         }
         probe::<f32>();
         probe::<f64>();
+    }
+
+    #[test]
+    fn byte_view_is_the_little_endian_encoding() {
+        let xs = [1.5f64, -0.0, f64::from_bits(0x7ff4_0000_0000_0001)];
+        let mut enc = Vec::new();
+        f64::write_le(&mut enc, &xs).unwrap();
+        let want: Vec<u8> = xs.iter().flat_map(|v| v.to_le_bytes()).collect();
+        assert_eq!(enc, want);
+        let mut back = [0.0f32; 2];
+        let src = [f32::from_bits(0x7fa0_0001), f32::from_bits(1)];
+        let enc: Vec<u8> = src.iter().flat_map(|v| v.to_le_bytes()).collect();
+        f32::read_le(&mut &enc[..], &mut back).unwrap();
+        assert_eq!(back.map(f32::to_bits), src.map(f32::to_bits));
+        assert_eq!(f32::as_bytes(&back).len(), 8);
     }
 
     #[test]

@@ -25,6 +25,7 @@ use std::fs::File;
 use std::io::{self, BufReader, BufWriter, Read, Seek, SeekFrom, Write};
 use std::path::{Path, PathBuf};
 
+use mttkrp_blas::Scalar;
 use mttkrp_tensor::DenseTensor;
 
 use crate::layout::TiledLayout;
@@ -305,19 +306,8 @@ impl TileReader {
             "buffer must match the tile entry count"
         );
         self.file.seek(SeekFrom::Start(self.offsets[t]))?;
-        // Chunked byte→f64 conversion: bounded scratch, so a tile read
-        // never doubles the resident bytes.
-        let mut scratch = [0u8; 8 * 1024];
-        let mut pos = 0usize;
-        while pos < buf.len() {
-            let n = (buf.len() - pos).min(1024);
-            self.file.read_exact(&mut scratch[..8 * n])?;
-            for (i, slot) in buf[pos..pos + n].iter_mut().enumerate() {
-                *slot = f64::from_le_bytes(scratch[8 * i..8 * i + 8].try_into().unwrap());
-            }
-            pos += n;
-        }
-        Ok(())
+        // One read straight into the tile buffer's storage.
+        f64::read_le(&mut self.file, buf)
     }
 
     /// The reader's tile geometry.
@@ -376,14 +366,7 @@ impl TileStoreBuilder {
             "tile {} entry count mismatch",
             self.next
         );
-        // Chunked f64→byte conversion mirrors the read path.
-        let mut scratch = [0u8; 8 * 1024];
-        for chunk in data.chunks(1024) {
-            for (i, &v) in chunk.iter().enumerate() {
-                scratch[8 * i..8 * i + 8].copy_from_slice(&v.to_le_bytes());
-            }
-            self.w.write_all(&scratch[..8 * chunk.len()])?;
-        }
+        f64::write_le(&mut self.w, data)?;
         self.next += 1;
         Ok(())
     }

@@ -21,4 +21,4 @@ pub mod server;
 
 pub use admission::{choose_team, Admission, AdmissionConfig, Offer};
 pub use protocol::{FactorPayload, Format, JobEvent, JobRequest, JobSpec, MAX_RANK, PROTOCOL};
-pub use server::{Bind, Server, ServerConfig, MAX_FACTOR_ELEMS, MAX_LINE_BYTES};
+pub use server::{Bind, Server, ServerConfig, MAX_CONNS, MAX_FACTOR_ELEMS, MAX_LINE_BYTES};

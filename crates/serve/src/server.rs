@@ -26,10 +26,10 @@ use std::net::{SocketAddr, TcpListener, TcpStream};
 use std::os::unix::net::{UnixListener, UnixStream};
 use std::panic::AssertUnwindSafe;
 use std::path::PathBuf;
-use std::sync::atomic::{AtomicBool, Ordering};
+use std::sync::atomic::{AtomicBool, AtomicUsize, Ordering};
 use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
-use std::time::Instant;
+use std::time::{Duration, Instant};
 
 use mttkrp_core::MttkrpBackend;
 use mttkrp_cpals::{CpAlsOptions, CpAlsSweep, KruskalModel, MttkrpStrategy};
@@ -55,6 +55,12 @@ pub const MAX_LINE_BYTES: usize = 1 << 20;
 /// this before any factor is allocated; a larger job gets an `error`
 /// event.
 pub const MAX_FACTOR_ELEMS: usize = 1 << 27;
+
+/// Most client connections served at once. A connection beyond it is
+/// answered with a 503 `rejected` event and closed, so a flood of idle
+/// clients cannot exhaust the daemon's threads or file descriptors
+/// (each connection holds two descriptors and one thread).
+pub const MAX_CONNS: usize = 128;
 
 /// Where the daemon listens.
 #[derive(Debug, Clone)]
@@ -130,6 +136,9 @@ struct Shared {
     sched: Scheduler,
     max_team: usize,
     stop: AtomicBool,
+    /// Connections being served (at most [`MAX_CONNS`]). A plain count
+    /// that publishes no other data, so every access is `Relaxed`.
+    conns: AtomicUsize,
     addr: BoundAddr,
     drivers: Mutex<Vec<JoinHandle<()>>>,
 }
@@ -188,6 +197,7 @@ impl Server {
             sched: cfg.scheduler.unwrap_or_else(|| Scheduler::global().clone()),
             max_team: cfg.max_team.max(1),
             stop: AtomicBool::new(false),
+            conns: AtomicUsize::new(0),
             addr,
             drivers: Mutex::new(Vec::new()),
         });
@@ -267,14 +277,26 @@ fn accept_loop(listener: Listener, shared: Arc<Shared>) {
             break;
         }
         match conn {
+            Ok((_, writer)) if shared.conns.load(Ordering::Relaxed) >= MAX_CONNS => {
+                let reason = format!("too many connections (limit {MAX_CONNS})");
+                reject(&writer, 503, reason);
+            }
             Ok((reader, writer)) => {
-                let conn_shared = shared.clone();
+                let slot = ConnSlot::take(&shared);
                 // Connection threads die on client EOF; no join needed.
+                // The slot frees when the thread ends, or here if it
+                // never starts.
                 let _ = std::thread::Builder::new()
                     .name("tensorcpd-conn".into())
-                    .spawn(move || handle_conn(conn_shared, reader, writer));
+                    .spawn(move || handle_conn(slot, reader, writer));
             }
-            Err(_) => break,
+            Err(_) => {
+                // Accept errors are transient (descriptor exhaustion,
+                // a client aborting mid-handshake): back off and keep
+                // serving rather than stop accepting for good.
+                mttkrp_obs::counter!("serve.accept_errors").incr();
+                std::thread::sleep(Duration::from_millis(10));
+            }
         }
     }
     #[cfg(unix)]
@@ -283,12 +305,30 @@ fn accept_loop(listener: Listener, shared: Arc<Shared>) {
     }
 }
 
+/// One counted connection; dropping it frees the slot.
+struct ConnSlot(Arc<Shared>);
+
+impl ConnSlot {
+    fn take(shared: &Arc<Shared>) -> ConnSlot {
+        shared.conns.fetch_add(1, Ordering::Relaxed);
+        ConnSlot(shared.clone())
+    }
+}
+
+impl Drop for ConnSlot {
+    fn drop(&mut self) {
+        self.0.conns.fetch_sub(1, Ordering::Relaxed);
+    }
+}
+
 fn reject(writer: &SharedWriter, code: u32, reason: String) {
     let id = String::new();
     emit(writer, &JobEvent::Rejected { id, code, reason });
 }
 
-fn handle_conn(shared: Arc<Shared>, mut reader: Box<dyn BufRead + Send>, writer: SharedWriter) {
+/// Serve one connection's requests; `slot` counts it until this returns.
+fn handle_conn(slot: ConnSlot, mut reader: Box<dyn BufRead + Send>, writer: SharedWriter) {
+    let shared = &slot.0;
     let mut buf = Vec::new();
     loop {
         buf.clear();
@@ -329,8 +369,8 @@ fn handle_conn(shared: Arc<Shared>, mut reader: Box<dyn BufRead + Send>, writer:
                 shared.poke();
                 break;
             }
-            Ok(JobRequest::Cancel { id }) => cancel_job(&shared, &id, &writer),
-            Ok(JobRequest::Submit { id, spec }) => submit_job(&shared, id, spec, &writer),
+            Ok(JobRequest::Cancel { id }) => cancel_job(shared, &id, &writer),
+            Ok(JobRequest::Submit { id, spec }) => submit_job(shared, id, spec, &writer),
         }
     }
 }

@@ -33,13 +33,17 @@
 //! Tensor entries are the natural linearization; factors are row-major,
 //! matching the in-memory conventions everywhere else in the workspace.
 //!
-//! Encoding is plain `std` (`to_le_bytes`/`from_le_bytes`), and every
-//! codec **streams**: files are written through a [`BufWriter`] and
-//! read through a [`BufReader`] in bounded chunks — no whole-file
-//! `Vec<u8>` round-trip, so writing or reading a multi-gigabyte tensor
-//! costs one tensor of memory, not two. Readers are handed the total
-//! input length up-front (file metadata, or the slice length for the
-//! `*_from_bytes` forms) and reject length mismatches **before**
+//! Payloads move **straight between storage and file**: a vector of
+//! scalars (tensor entries, model factors, sparse values) is read with
+//! one `read_exact` into the bytes of the `Vec` it ends up in, and
+//! written from those bytes, through [`Scalar::read_le`] and
+//! [`Scalar::write_le`] — no whole-file `Vec<u8>`, no scratch buffer, no
+//! per-element conversion, so a multi-gigabyte tensor costs one tensor
+//! of memory and one copy. On Linux a payload of 32 MiB or more is
+//! advised for transparent huge pages before the read faults it in.
+//! Headers use plain `to_le_bytes`/`from_le_bytes`. Readers are handed
+//! the total input length up-front (file metadata, or the slice length
+//! for the `*_from_bytes` forms) and reject length mismatches **before**
 //! touching the payload, so a header promising petabytes fails
 //! immediately instead of after a long partial read.
 
@@ -78,10 +82,15 @@ fn bad(msg: &str) -> io::Error {
 
 // ---- streaming primitives --------------------------------------------------
 
-/// Entries per conversion chunk on the streaming f64 paths (8 KiB of
-/// scratch; bounds the codec's working memory independent of payload
-/// size).
+/// Index words per conversion chunk on the sparse index paths (8 KiB
+/// of scratch; indices are `usize` in memory and `u64` on disk, and are
+/// bounds-checked as they arrive).
 const CHUNK: usize = 1024;
+
+/// Payloads at least this large are read into memory advised for
+/// transparent huge pages. At this size glibc serves the allocation
+/// from its own `mmap`, so the advice touches only that mapping.
+const HUGE_PAGE_MIN_BYTES: usize = 32 << 20;
 
 fn put_u32_le(w: &mut impl Write, v: u32) -> io::Result<()> {
     w.write_all(&v.to_le_bytes())
@@ -89,18 +98,6 @@ fn put_u32_le(w: &mut impl Write, v: u32) -> io::Result<()> {
 
 fn put_u64_le(w: &mut impl Write, v: u64) -> io::Result<()> {
     w.write_all(&v.to_le_bytes())
-}
-
-/// Stream an `f64` slice in bounded chunks.
-fn put_f64_slice(w: &mut impl Write, data: &[f64]) -> io::Result<()> {
-    let mut scratch = [0u8; 8 * CHUNK];
-    for chunk in data.chunks(CHUNK) {
-        for (i, &v) in chunk.iter().enumerate() {
-            scratch[8 * i..8 * i + 8].copy_from_slice(&v.to_le_bytes());
-        }
-        w.write_all(&scratch[..8 * chunk.len()])?;
-    }
-    Ok(())
 }
 
 fn get_u32_le(r: &mut impl Read) -> io::Result<u32> {
@@ -115,69 +112,47 @@ fn get_u64_le(r: &mut impl Read) -> io::Result<u64> {
     Ok(u64::from_le_bytes(b))
 }
 
-/// Stream `count` `f64`s into a fresh vector in bounded chunks.
-fn get_f64_vec(r: &mut impl Read, count: usize) -> io::Result<Vec<f64>> {
-    let mut out = vec![0.0f64; count];
-    let mut scratch = [0u8; 8 * CHUNK];
-    let mut pos = 0usize;
-    while pos < count {
-        let n = (count - pos).min(CHUNK);
-        r.read_exact(&mut scratch[..8 * n])?;
-        for (i, slot) in out[pos..pos + n].iter_mut().enumerate() {
-            *slot = f64::from_le_bytes(scratch[8 * i..8 * i + 8].try_into().unwrap());
-        }
-        pos += n;
-    }
-    Ok(out)
-}
-
-/// Stream a [`Scalar`] slice in bounded chunks at its native storage
-/// width. The `f32` arm round-trips through `f64` (`to_f64` then
-/// narrow), which is exact for every `f32` bit pattern — the codec
-/// never narrows a value that was not already `f32`.
-fn put_scalar_slice<S: Scalar>(w: &mut impl Write, data: &[S]) -> io::Result<()> {
-    let esz = S::DTYPE.size_bytes();
-    let mut scratch = [0u8; 8 * CHUNK];
-    for chunk in data.chunks(CHUNK) {
-        for (i, &v) in chunk.iter().enumerate() {
-            let at = esz * i;
-            match S::DTYPE {
-                Dtype::F32 => {
-                    scratch[at..at + 4].copy_from_slice(&(v.to_f64() as f32).to_le_bytes())
-                }
-                Dtype::F64 => scratch[at..at + 8].copy_from_slice(&v.to_f64().to_le_bytes()),
-            }
-        }
-        w.write_all(&scratch[..esz * chunk.len()])?;
-    }
-    Ok(())
-}
-
-/// Stream `count` scalars into a fresh vector in bounded chunks; the
-/// inverse of [`put_scalar_slice`] (bit-exact round trip either way).
-fn get_scalar_vec<S: Scalar>(r: &mut impl Read, count: usize) -> io::Result<Vec<S>> {
-    let esz = S::DTYPE.size_bytes();
+/// Read `count` little-endian scalars straight into a fresh vector's
+/// storage (bit-exact; the inverse of [`Scalar::write_le`]).
+fn get_vec<S: Scalar>(r: &mut impl Read, count: usize) -> io::Result<Vec<S>> {
+    // `vec![0; n]` is a zeroed allocation whose pages are first touched
+    // by the read below, after the huge-page advice.
     let mut out = vec![S::ZERO; count];
-    let mut scratch = [0u8; 8 * CHUNK];
-    let mut pos = 0usize;
-    while pos < count {
-        let n = (count - pos).min(CHUNK);
-        r.read_exact(&mut scratch[..esz * n])?;
-        for (i, slot) in out[pos..pos + n].iter_mut().enumerate() {
-            let at = esz * i;
-            *slot = match S::DTYPE {
-                Dtype::F32 => {
-                    S::from_f64(f32::from_le_bytes(scratch[at..at + 4].try_into().unwrap()) as f64)
-                }
-                Dtype::F64 => {
-                    S::from_f64(f64::from_le_bytes(scratch[at..at + 8].try_into().unwrap()))
-                }
-            };
-        }
-        pos += n;
-    }
+    advise_huge_pages(S::as_bytes_mut(&mut out));
+    S::read_le(r, &mut out)?;
     Ok(out)
 }
+
+/// Ask the kernel to back a fresh buffer of at least
+/// [`HUGE_PAGE_MIN_BYTES`] with transparent huge pages, so faulting it
+/// in costs one fault per 2 MiB instead of one per 4 KiB. Only the
+/// 2 MiB-aligned interior is advised, since only whole aligned blocks
+/// can become huge pages. Pure advice: where THP is disabled the call
+/// fails and nothing changes.
+#[cfg(target_os = "linux")]
+fn advise_huge_pages(buf: &mut [u8]) {
+    use std::ffi::{c_int, c_void};
+    const MADV_HUGEPAGE: c_int = 14;
+    const HUGE: usize = 2 << 20;
+    extern "C" {
+        fn madvise(addr: *mut c_void, len: usize, advice: c_int) -> c_int;
+    }
+    if buf.len() < HUGE_PAGE_MIN_BYTES {
+        return;
+    }
+    let start = buf.as_mut_ptr() as usize;
+    let lo = start.next_multiple_of(HUGE);
+    let hi = (start + buf.len()) / HUGE * HUGE;
+    if hi > lo {
+        // SAFETY: `[lo, hi)` lies inside `buf`, which this call borrows
+        // exclusively; MADV_HUGEPAGE only changes how the kernel backs
+        // those pages, never their contents or the mapping's validity.
+        unsafe { madvise(lo as *mut c_void, hi - lo, MADV_HUGEPAGE) };
+    }
+}
+
+#[cfg(not(target_os = "linux"))]
+fn advise_huge_pages(_buf: &mut [u8]) {}
 
 fn check_magic(r: &mut impl Read, magic: &[u8; 4], what: &str) -> io::Result<()> {
     let mut m = [0u8; 4];
@@ -219,7 +194,7 @@ pub fn write_tensor_to<S: Scalar>(w: &mut impl Write, x: &DenseTensor<S>) -> io:
     for &d in x.dims() {
         put_u64_le(w, d as u64)?;
     }
-    put_scalar_slice(w, x.data())
+    S::write_le(w, x.data())
 }
 
 /// Parse magic + version (+ dtype tag on version 2); returns the
@@ -284,7 +259,7 @@ pub fn read_tensor_from<S: Scalar>(
         .and_then(|p| p.checked_add(header + 4 + 8 * ndims as u64))
         .ok_or_else(|| bad("tensor payload size overflows"))?;
     check_total_len(input_len, expected, "tensor")?;
-    let data = get_scalar_vec::<S>(r, total)?;
+    let data = get_vec::<S>(r, total)?;
     Ok(DenseTensor::from_vec(&dims, data))
 }
 
@@ -328,9 +303,9 @@ pub fn write_model_to(w: &mut impl Write, m: &StoredModel) -> io::Result<()> {
     for &d in &m.dims {
         put_u64_le(w, d as u64)?;
     }
-    put_f64_slice(w, &m.lambda)?;
+    f64::write_le(w, &m.lambda)?;
     for f in &m.factors {
-        put_f64_slice(w, f)?;
+        f64::write_le(w, f)?;
     }
     Ok(())
 }
@@ -367,10 +342,10 @@ pub fn read_model_from(r: &mut impl Read, input_len: u64) -> io::Result<StoredMo
         .and_then(|p| p.checked_add(16 + 8 * ndims as u64))
         .ok_or_else(|| bad("model payload size overflows"))?;
     check_total_len(input_len, expected, "model")?;
-    let lambda = get_f64_vec(r, rank)?;
+    let lambda = get_vec(r, rank)?;
     let mut factors = Vec::with_capacity(ndims);
     for &d in &dims {
-        factors.push(get_f64_vec(r, d * rank)?);
+        factors.push(get_vec(r, d * rank)?);
     }
     Ok(StoredModel {
         dims,
@@ -420,7 +395,7 @@ pub fn write_sparse_to(w: &mut impl Write, x: &CooTensor) -> io::Result<()> {
     for &d in x.dims() {
         put_u64_le(w, d as u64)?;
     }
-    // Index words stream in bounded chunks like the value payload.
+    // Index words are converted to u64 in bounded chunks.
     let mut scratch = [0u8; 8 * CHUNK];
     for chunk in x.indices().chunks(CHUNK) {
         for (i, &v) in chunk.iter().enumerate() {
@@ -428,7 +403,7 @@ pub fn write_sparse_to(w: &mut impl Write, x: &CooTensor) -> io::Result<()> {
         }
         w.write_all(&scratch[..8 * chunk.len()])?;
     }
-    put_f64_slice(w, x.values())
+    f64::write_le(w, x.values())
 }
 
 /// Read a sparse (COO) tensor from any reader whose total length is
@@ -485,7 +460,7 @@ pub fn read_sparse_from(r: &mut impl Read, input_len: u64) -> io::Result<CooTens
         }
         pos += n;
     }
-    let vals = get_f64_vec(r, nnz)?;
+    let vals = get_vec(r, nnz)?;
     Ok(CooTensor::from_entries(&dims, inds, vals))
 }
 
@@ -541,6 +516,93 @@ mod tests {
         let back: DenseTensor<f64> = tensor_from_bytes(&bytes).unwrap();
         assert_eq!(back.dims(), x.dims());
         assert_eq!(back.data(), x.data());
+    }
+
+    /// A reader that returns 1, 3, 5, 7, 1, … bytes per call, so the
+    /// payload read resumes mid-element at every offset.
+    struct Dribble<'a> {
+        buf: &'a [u8],
+        calls: usize,
+    }
+
+    impl Read for Dribble<'_> {
+        fn read(&mut self, out: &mut [u8]) -> io::Result<usize> {
+            let n = [1, 3, 5, 7][self.calls % 4]
+                .min(out.len())
+                .min(self.buf.len());
+            self.calls += 1;
+            out[..n].copy_from_slice(&self.buf[..n]);
+            self.buf = &self.buf[n..];
+            Ok(n)
+        }
+    }
+
+    fn dribble_round_trip<S: Scalar>(bits: &[S]) -> DenseTensor<S> {
+        let x = DenseTensor::from_vec(&[3, bits.len() / 3], bits.to_vec());
+        let bytes = tensor_to_bytes(&x);
+        let mut r = Dribble {
+            buf: &bytes,
+            calls: 0,
+        };
+        read_tensor_from(&mut r, bytes.len() as u64).unwrap()
+    }
+
+    #[test]
+    fn split_reads_round_trip_special_values_bit_for_bit() {
+        let f64s = [
+            0x3ff8_0000_0000_0000, // 1.5
+            0x8000_0000_0000_0000, // -0.0
+            0x0000_0000_0000_0001, // smallest subnormal
+            0x800f_ffff_ffff_ffff, // largest negative subnormal
+            0x7ff8_0000_dead_beef, // quiet NaN with payload
+            0x7ff0_0000_0000_0001, // signalling NaN
+            0xfff8_0000_0000_1234, // negative NaN with payload
+            0x7ff0_0000_0000_0000, // +inf
+            0xc00c_cccc_cccc_cccd, // -3.6
+        ]
+        .map(f64::from_bits);
+        let back = dribble_round_trip(&f64s);
+        assert_eq!(back.data().len(), f64s.len());
+        for (got, want) in back.data().iter().zip(&f64s) {
+            assert_eq!(got.to_bits(), want.to_bits());
+        }
+
+        let f32s = [
+            0x3fc0_0000, // 1.5
+            0x8000_0000, // -0.0
+            0x0000_0001, // smallest subnormal
+            0x807f_ffff, // largest negative subnormal
+            0x7fc0_beef, // quiet NaN with payload
+            0x7fa0_0001, // signalling NaN
+            0xffc0_1234, // negative NaN with payload
+            0xff80_0000, // -inf
+            0x4066_6666, // 3.6
+        ]
+        .map(f32::from_bits);
+        let back = dribble_round_trip(&f32s);
+        assert_eq!(back.data().len(), f32s.len());
+        for (got, want) in back.data().iter().zip(&f32s) {
+            assert_eq!(got.to_bits(), want.to_bits());
+        }
+    }
+
+    #[test]
+    fn huge_page_sized_tensor_round_trips_through_file() {
+        // 4 Mi f64 entries, 32 MiB: the payload takes the huge-page path.
+        let dims = [256, 128, 128];
+        let data = (0..1u64 << 22)
+            .map(|i| f64::from_bits(i.wrapping_mul(0x9e37_79b9_7f4a_7c15)))
+            .collect();
+        let x = DenseTensor::from_vec(&dims, data);
+        assert!(x.len() * 8 >= HUGE_PAGE_MIN_BYTES);
+        let path =
+            std::env::temp_dir().join(format!("mttkrp_io_test_huge_{}.mtkt", std::process::id()));
+        write_tensor(&path, &x).unwrap();
+        let back: io::Result<DenseTensor<f64>> = read_tensor(&path);
+        std::fs::remove_file(&path).ok();
+        let back = back.unwrap();
+        assert_eq!(back.dims(), x.dims());
+        assert!(f64::as_bytes(back.data()) == f64::as_bytes(x.data()));
     }
 
     #[test]

@@ -2,8 +2,9 @@
 //! concurrent mixed-format jobs finish with *exactly* the fits a direct
 //! in-process CP-ALS run produces, cancellation hands the freed slot to
 //! a queued job, a full admission queue rejects with 429-style
-//! backpressure, and a hostile request line or tensor file is refused
-//! without harming other tenants.
+//! backpressure, a hostile request line or tensor file is refused
+//! without harming other tenants, and connections past the cap are
+//! turned away with 503 until one closes.
 #![cfg(unix)]
 
 use std::io::{BufRead, BufReader, Write};
@@ -18,7 +19,8 @@ use mttkrp_repro::rng::Rng64;
 use mttkrp_repro::sched::Scheduler;
 use mttkrp_repro::serve::server::Bind;
 use mttkrp_repro::serve::{
-    AdmissionConfig, Format, JobEvent, JobRequest, JobSpec, Server, ServerConfig, MAX_LINE_BYTES,
+    AdmissionConfig, Format, JobEvent, JobRequest, JobSpec, Server, ServerConfig, MAX_CONNS,
+    MAX_LINE_BYTES,
 };
 use mttkrp_repro::sparse::{CooTensor, CsfTensor};
 use mttkrp_repro::tensor::DenseTensor;
@@ -522,6 +524,75 @@ fn huge_sparse_dims_get_error_and_release_the_slot() {
         }
     }
     assert!(idle, "an admission slot leaked");
+    server.stop();
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// `MAX_CONNS` idle connections fill the daemon: the next one gets a
+/// 503 `rejected` event and is closed. Closing one idle connection
+/// frees its slot for a new client, whose job must still reproduce the
+/// in-process fit exactly.
+#[test]
+fn connections_past_the_cap_get_503_until_one_closes() {
+    let dir = fresh_dir("conn_cap");
+    let x = write_workloads(&dir);
+    let want = reference_fits(&x, &DIMS, 29);
+    let (mut server, sock) = start(
+        &dir,
+        AdmissionConfig {
+            max_active: 1,
+            queue_cap: 1,
+        },
+    );
+
+    // One descriptor per idle client keeps the test far below a
+    // 1024-descriptor limit (the daemon side holds two per connection).
+    let mut idle: Vec<UnixStream> = (0..MAX_CONNS)
+        .map(|_| UnixStream::connect(&sock).expect("connect idle client"))
+        .collect();
+    let mut over = Client::connect(&sock);
+    match over.next_event() {
+        JobEvent::Rejected { code, reason, .. } => {
+            assert_eq!(code, 503, "connections past the cap are 503");
+            assert!(reason.contains("too many connections"), "{reason}");
+        }
+        other => panic!("over-cap connection: unexpected event {other:?}"),
+    }
+    let mut rest = String::new();
+    assert!(
+        !matches!(over.reader.read_line(&mut rest), Ok(n) if n > 0),
+        "the daemon must close an over-cap connection, got {rest:?}"
+    );
+
+    // Closing one idle client frees a slot once the daemon sees its EOF.
+    drop(idle.pop());
+    let mut tenant = None;
+    for _ in 0..500 {
+        let mut c = Client::connect(&sock);
+        // A turned-away connection may be closed before the request is
+        // written, so the write can fail; its 503 is still there to read.
+        let _ = writeln!(c.writer, "{}", JobRequest::Status.to_json());
+        match c.next_event() {
+            JobEvent::Status { .. } => {
+                tenant = Some(c);
+                break;
+            }
+            JobEvent::Rejected { code: 503, .. } => std::thread::sleep(Duration::from_millis(10)),
+            other => panic!("new connection: unexpected event {other:?}"),
+        }
+    }
+    let mut tenant = tenant.expect("a closed connection's slot was never freed");
+    let fits = run_to_done(
+        &mut tenant,
+        "after",
+        spec(&dir, "x.mtkt", Format::Dense, ITERS, 29),
+    );
+    assert_eq!(
+        fits.last().unwrap().to_bits(),
+        want.last().unwrap().to_bits(),
+        "final_fit must equal the in-process run"
+    );
+    drop(idle);
     server.stop();
     std::fs::remove_dir_all(&dir).ok();
 }
