@@ -5,15 +5,13 @@
 //! * 1-step Algorithm 2 (explicit full KRP) vs Algorithm 3 with one
 //!   thread (streaming KRP blocks) — the paper's observation that the
 //!   parallel formulation is the better sequential algorithm too;
-//! * plan reuse on/off (per-call allocation vs cached `MttkrpPlan`);
-//! * dimension-tree CP-ALS on/off (the future-work extension).
+//! * plan reuse on/off (per-call allocation vs cached `MttkrpPlan`).
 
 use mttkrp_bench::{BenchGroup, MttkrpFixture, RANK};
 use mttkrp_blas::{Layout, MatRef};
 use mttkrp_core::{
     mttkrp_1step, mttkrp_1step_seq, mttkrp_2step_timed, AlgoChoice, MttkrpPlan, TwoStepSide,
 };
-use mttkrp_cpals::{cp_als, cp_als_dimtree, CpAlsOptions, KruskalModel, MttkrpStrategy};
 use mttkrp_krp::{krp_naive, krp_reuse};
 use mttkrp_parallel::ThreadPool;
 use mttkrp_workloads::{krp_input_rows, random_matrix};
@@ -90,28 +88,9 @@ fn ablation_plan_reuse() {
     });
 }
 
-fn ablation_dimtree() {
-    let group = BenchGroup::new("ablation/dimtree");
-    let pool = ThreadPool::host();
-    let fx = MttkrpFixture::with_dims(&[24, 12, 24, 24]);
-    let init = KruskalModel::random(&fx.dims, 16, 42);
-    let opts = CpAlsOptions {
-        max_iters: 1,
-        tol: 0.0,
-        strategy: MttkrpStrategy::Auto,
-    };
-    group.bench("standard", || {
-        let _ = cp_als(&pool, &fx.x, init.clone(), &opts);
-    });
-    group.bench("dimtree", || {
-        let _ = cp_als_dimtree(&pool, &fx.x, init.clone(), &opts);
-    });
-}
-
 fn main() {
     ablation_krp_reuse();
     ablation_twostep_side();
     ablation_alg2_vs_alg3_seq();
     ablation_plan_reuse();
-    ablation_dimtree();
 }

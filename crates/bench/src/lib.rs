@@ -1,9 +1,8 @@
-//! Shared fixtures plus a small in-tree timing harness for the figure
-//! benches (one bench target per paper figure, plus ablations). Sizes
-//! are scaled down from the paper (≈750M-entry tensors) so
-//! `cargo bench` completes in minutes on one core; the harness binary
-//! (`mttkrp-harness`) regenerates the actual figure tables, including
-//! modeled 12-thread series.
+//! Shared fixtures plus a small in-tree timing harness for the benches
+//! (ablations, kernels). Sizes are scaled down from the paper
+//! (≈750M-entry tensors) so `cargo bench` completes in minutes on one
+//! core; the harness binary (`mttkrp-harness`) regenerates the paper's
+//! figure tables, including modeled 12-thread series.
 //!
 //! The bench targets are plain `harness = false` binaries driven by
 //! [`BenchGroup`] — the build environment has no registry access, so
@@ -14,7 +13,7 @@ use mttkrp_blas::{Layout, MatRef};
 use mttkrp_tensor::DenseTensor;
 use mttkrp_workloads::{equal_dims, random_factors};
 
-/// Rank used throughout the figure benches (paper: C = 25).
+/// Rank used throughout the benches (paper: C = 25).
 pub const RANK: usize = 25;
 
 /// An equal-dims tensor plus factor matrices for MTTKRP benches.

@@ -9,13 +9,15 @@
 //! `mttkrp-sparse`.
 //!
 //! The associated `PlanSet` type is the backend's reusable execution
-//! state: built once per (tensor, rank, team) via
-//! [`MttkrpBackend::plan_modes`] and reused across every sweep, exactly
-//! as CP-ALS holds a [`MttkrpPlanSet`] today. Backends resolve the
-//! dense [`AlgoChoice`] however they see fit — the dense backend plans
-//! 1-step/2-step kernels per mode (or falls back to the explicit
-//! Bader–Kolda baseline when no choice is given), while sparse
-//! backends, which have a single tree-walk kernel per mode, ignore it.
+//! state, built once per (tensor, rank, team) and reused across every
+//! sweep: [`MttkrpBackend::plan_modes`] plans independent per-mode
+//! MTTKRPs, [`MttkrpBackend::plan_sweep`] the call sequence of a CP-ALS
+//! sweep, which the dense backend serves with the two-group
+//! [`crate::DimTreePlan`]. Backends resolve the dense [`AlgoChoice`]
+//! however they see fit — the dense backend plans 1-step/2-step kernels
+//! per mode (or the explicit Bader–Kolda baseline when no choice is
+//! given), while sparse backends, with one tree-walk kernel per mode,
+//! ignore it.
 
 use mttkrp_blas::{MatRef, Scalar};
 use mttkrp_parallel::ThreadPool;
@@ -61,13 +63,38 @@ pub trait MttkrpBackend {
         n: usize,
         out: &mut [Self::Elem],
     ) -> Breakdown;
+
+    /// Build the plan set a CP-ALS sweep runs, which may share work
+    /// across modes (see [`MttkrpBackend::mttkrp_in_sweep`]). Defaults
+    /// to [`MttkrpBackend::plan_modes`].
+    fn plan_sweep(&self, pool: &ThreadPool, c: usize, choice: Option<AlgoChoice>) -> Self::PlanSet {
+        self.plan_modes(pool, c, choice)
+    }
+
+    /// Mode `n`'s MTTKRP inside a sweep, through plans from
+    /// [`MttkrpBackend::plan_sweep`]. Contract: it is called for
+    /// `n = 0, 1, …, N−1` in order, and only factor `n−1` (factor `N−1`
+    /// before `n = 0`) has changed since the previous call — a CP-ALS
+    /// sweep, or all modes at fixed factors. Defaults to
+    /// [`MttkrpBackend::mttkrp_planned`].
+    fn mttkrp_in_sweep(
+        &self,
+        plans: &mut Self::PlanSet,
+        pool: &ThreadPool,
+        factors: &[MatRef<'_, Self::Elem>],
+        n: usize,
+        out: &mut [Self::Elem],
+    ) -> Breakdown {
+        self.mttkrp_planned(plans, pool, factors, n, out)
+    }
 }
 
 /// The dense backend's plan state: planned kernels, or the explicit
 /// baseline (which reorders tensor entries per call and has no
 /// plannable workspace).
 pub enum DensePlans<S: Scalar = f64> {
-    /// One [`crate::MttkrpPlan`] per mode.
+    /// One [`crate::MttkrpPlan`] per mode, or the two-group plan a
+    /// sweep runs ([`MttkrpPlanSet::for_sweep`]).
     Planned(MttkrpPlanSet<S>),
     /// Bader–Kolda explicit matricization + full KRP + one GEMM.
     Explicit,
@@ -104,6 +131,33 @@ impl<S: Scalar> MttkrpBackend for DenseTensor<S> {
     ) -> Breakdown {
         match plans {
             DensePlans::Planned(set) => set.execute_timed(pool, self, factors, n, out),
+            DensePlans::Explicit => mttkrp_explicit_timed(pool, self, factors, n, out),
+        }
+    }
+
+    /// The plans of [`MttkrpPlanSet::for_sweep`].
+    fn plan_sweep(&self, pool: &ThreadPool, c: usize, choice: Option<AlgoChoice>) -> DensePlans<S> {
+        match choice {
+            Some(choice) => DensePlans::Planned(MttkrpPlanSet::for_sweep(
+                pool,
+                DenseTensor::dims(self),
+                c,
+                choice,
+            )),
+            None => DensePlans::Explicit,
+        }
+    }
+
+    fn mttkrp_in_sweep(
+        &self,
+        plans: &mut DensePlans<S>,
+        pool: &ThreadPool,
+        factors: &[MatRef<'_, S>],
+        n: usize,
+        out: &mut [S],
+    ) -> Breakdown {
+        match plans {
+            DensePlans::Planned(set) => set.execute_in_sweep(pool, self, factors, n, out),
             DensePlans::Explicit => mttkrp_explicit_timed(pool, self, factors, n, out),
         }
     }

@@ -15,8 +15,9 @@
 //! * [`twostep`] — Algorithm 4 (Phan et al.): one large partial-MTTKRP
 //!   GEMM on `X(0:n)` or `X(0:n−1)ᵀ` followed by a multi-TTV of GEMV
 //!   calls, choosing the side that minimizes second-step flops.
-//! * [`dispatch::mttkrp_auto`] — the per-mode choice used by the CP-ALS
-//!   driver (1-step for external modes, 2-step for internal modes).
+//! * [`dispatch::mttkrp_auto`] — the paper's per-mode choice (1-step
+//!   for external modes, 2-step for internal modes), which per-mode
+//!   CP-ALS sweeps plan with.
 //! * [`plan::MttkrpPlan`] — the reusable plan/executor split: algorithm
 //!   choice, static partition schedule, and pre-allocated per-thread
 //!   workspaces computed once per (shape, rank, mode, team) and reused
@@ -24,11 +25,15 @@
 //!   wrappers over one-shot plans; iterative drivers (CP-ALS) hold a
 //!   [`plan::MttkrpPlanSet`] instead and pay no per-iteration
 //!   allocation.
+//! * [`multimode::DimTreePlan`] — the two-group (dimension-tree)
+//!   MTTKRP, the paper's future-work item (Phan et al. §III.C): two
+//!   partial-MTTKRP GEMMs and one multi-TTV per mode serve every mode
+//!   of a CP-ALS sweep or a gradient.
 //! * [`backend::MttkrpBackend`] — the storage-generic contract CP
 //!   drivers are written against: shape/norm queries plus planned
-//!   per-mode MTTKRP execution. Implemented here for the dense tensor
-//!   (planned kernels or the explicit baseline) and by `mttkrp-sparse`
-//!   for compressed-sparse-fiber tensors.
+//!   per-mode and in-sweep MTTKRP execution. Implemented here for the
+//!   dense tensor (the two-group plan, planned kernels, or the explicit
+//!   baseline) and by `mttkrp-sparse` and `mttkrp-ooc`.
 //!
 //! All variants share conventions: factor matrices and the output are
 //! **row-major** `I_k × C` buffers, and the KRP factor order for mode
@@ -83,7 +88,7 @@ pub use breakdown::Breakdown;
 pub use choicelog::{ChoiceLog, ChoiceRecord};
 pub use dispatch::{mttkrp_auto, mttkrp_auto_timed, ModeKind};
 pub use model::{cost_model_installed, install_cost_model, tuned_cost, ModeCost};
-pub use multimode::{mttkrp_all_modes, AllModesPlan};
+pub use multimode::DimTreePlan;
 pub use onestep::{mttkrp_1step, mttkrp_1step_seq, mttkrp_1step_timed};
 pub use oracle::mttkrp_oracle;
 pub use plan::{AlgoChoice, MttkrpPlan, MttkrpPlanSet, PlannedAlgo};

@@ -1,265 +1,395 @@
-//! All-modes MTTKRP with shared partial results.
+//! The two-group (dimension-tree) MTTKRP: every mode's MTTKRP from two
+//! partial-MTTKRP GEMMs.
 //!
-//! Gradient-based CP optimizers (CP-OPT, Gauss-Newton, the paper's §2.2
-//! remark that "nearly all of them require computing and are
-//! bottlenecked by MTTKRP") need `M_n` for *every* mode at a fixed
-//! factor set. Computing them independently costs `N` full MTTKRPs;
-//! this module computes the whole set from **two** partial-MTTKRP GEMMs
-//! (left/right split, Phan et al. §III.C), the same reuse
-//! `mttkrp_cpals::cp_als_dimtree` applies inside ALS — but exposed at
-//! the kernel level, where no factor updates happen between modes.
+//! The per-mode kernels read the whole tensor once per mode. The
+//! paper's conclusion names multi-mode reuse as the next step (Phan et
+//! al. §III.C): split the modes into a left group `{0, …, s−1}` and a
+//! right group `{s, …, N−1}` (`s = ⌈N/2⌉`) and form one partial each,
 //!
-//! Like the per-mode kernels, the execution path is plan-based:
-//! [`AllModesPlan`] precomputes the group split and owns the KRP,
-//! partial, and multi-TTV scratch buffers, so optimizers that evaluate
-//! many gradients reuse one plan; [`mttkrp_all_modes`] remains the
-//! one-shot allocating wrapper.
+//! * `R = X(0:s−1) · (U_{N−1} ⊙ ⋯ ⊙ U_s)`, `(I_0⋯I_{s−1}) × C`;
+//! * `L = X(0:s−1)ᵀ · (U_{s−1} ⊙ ⋯ ⊙ U_0)`, `(I_s⋯I_{N−1}) × C`.
+//!
+//! Column `j` of a partial is a small tensor over its group's modes;
+//! contracting it with column `j` of every other in-group factor (a
+//! multi-TTV: a chain of GEMVs) yields column `j` of `M_n`.
+//!
+//! [`DimTreePlan`] owns the group KRPs, both partials and the multi-TTV
+//! scratch. In a CP-ALS sweep ([`DimTreePlan::execute_in_sweep`] for
+//! `n = 0..N−1`, factor `n−1` updated between calls) `R` depends only
+//! on the right factors, so it is formed at `n = 0` and serves every
+//! left mode as ALS updates the left factors; `L` is formed at `n = s`
+//! from the updated left factors. A gradient (all modes at fixed
+//! factors) is the same sequence with no updates in between.
+//!
+//! Each multi-TTV deals the `C` columns across the team in static
+//! blocks and runs a column's GEMV chain sequentially, so the result
+//! does not depend on the team size. Steady-state execution on a
+//! one-thread pool allocates nothing.
 
-use mttkrp_blas::{gemv, par_gemm, Layout, MatMut, MatRef};
-use mttkrp_krp::{krp_rows, par_krp};
-use mttkrp_parallel::ThreadPool;
+use std::ops::Range;
+
+use mttkrp_blas::{gemv, kernels, par_gemm_with, KernelSet, Layout, MatMut, MatRef, Scalar};
+use mttkrp_krp::KrpState;
+use mttkrp_parallel::{block_range, ThreadPool, Workspace};
 use mttkrp_tensor::DenseTensor;
 
+use crate::breakdown::{timed_traced, Breakdown};
+use crate::plan::plan_krp;
 use crate::validate_factors;
 
-/// Reusable plan for the all-modes MTTKRP of one tensor shape and rank:
-/// the left/right group split plus every intermediate buffer.
-#[derive(Debug)]
-pub struct AllModesPlan {
-    dims: Vec<usize>,
-    c: usize,
-    /// Split point: left group `{0..s-1}`, right group `{s..N-1}`.
-    s: usize,
-    left_total: usize,
-    right_total: usize,
-    /// KRP of the right (resp. left) group factors.
-    kr: Vec<f64>,
-    kl: Vec<f64>,
-    /// Right partial `R = X(0:s−1)·KR` (`left_total × C`, col-major).
-    r: Vec<f64>,
-    /// Left partial `L = X(0:s−1)ᵀ·KL` (`right_total × C`, col-major).
-    l: Vec<f64>,
-    /// Multi-TTV scratch.
-    col_buf: Vec<f64>,
-    work: Vec<f64>,
-    next: Vec<f64>,
-    /// One row-major `I_n × C` output per mode.
-    outputs: Vec<Vec<f64>>,
+/// One mode group and the partial that serves it.
+struct Group<S: Scalar> {
+    /// The group's modes.
+    modes: Range<usize>,
+    /// The other group's factor indices in KRP order (descending).
+    other_order: Vec<usize>,
+    /// KRP of the other group's factors, `(Π other dims) × C`
+    /// row-major. Empty when the other group is one mode: that factor
+    /// is its own KRP.
+    krp: Vec<S>,
+    /// The group partial, `(Π group dims) × C` column-major.
+    partial: Vec<S>,
 }
 
-impl AllModesPlan {
-    /// Plan the all-modes MTTKRP of a `dims` tensor at rank `c`.
+/// Per-thread multi-TTV scratch.
+struct TtvSlot<S: Scalar> {
+    /// This thread's static block of component columns.
+    cols: Range<usize>,
+    /// One factor column.
+    v: Vec<S>,
+    /// Ping-pong contraction intermediates.
+    a: Vec<S>,
+    b: Vec<S>,
+    /// Column-major `I_n × |cols|` result of the current mode.
+    out: Vec<S>,
+}
+
+/// Reusable two-group MTTKRP plan for one tensor shape, rank and team.
+/// See the [module docs](self).
+pub struct DimTreePlan<S: Scalar = f64> {
+    dims: Vec<usize>,
+    c: usize,
+    threads: usize,
+    /// Left (`0..s`) and right (`s..N`) groups.
+    groups: [Group<S>; 2],
+    /// The mode an in-sweep call may continue from without refreshing
+    /// its group's partial.
+    next: usize,
+    krp_state: KrpState<S>,
+    ttv: Workspace<TtvSlot<S>>,
+    kernels: KernelSet<S>,
+}
+
+impl<S: Scalar> std::fmt::Debug for DimTreePlan<S> {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        f.debug_struct("DimTreePlan")
+            .field("dims", &self.dims)
+            .field("c", &self.c)
+            .field("split", &self.split())
+            .field("threads", &self.threads)
+            .finish()
+    }
+}
+
+impl<S: Scalar> DimTreePlan<S> {
+    /// Plan the two-group MTTKRP of a `dims` tensor at rank `c` on
+    /// `pool`'s team, allocating both partials and all scratch.
     ///
     /// # Panics
     /// Panics if the tensor order is below 2 or `c == 0`.
-    pub fn new(dims: &[usize], c: usize) -> Self {
+    pub fn new(pool: &ThreadPool, dims: &[usize], c: usize) -> Self {
         let nmodes = dims.len();
         assert!(nmodes >= 2, "MTTKRP requires an order >= 2 tensor");
         assert!(c > 0, "rank must be positive");
+        let _span = mttkrp_obs::span!("plan_build", modes = nmodes);
+        mttkrp_obs::counter!("core.plans_built").incr();
         let s = nmodes.div_ceil(2);
-        let left_total: usize = dims[..s].iter().product();
-        let right_total: usize = dims[s..].iter().product();
-        AllModesPlan {
+        let group = |modes: Range<usize>, other: Range<usize>| {
+            let total: usize = dims[modes.clone()].iter().product();
+            let other_total: usize = dims[other.clone()].iter().product();
+            Group {
+                other_order: other.clone().rev().collect(),
+                krp: vec![S::ZERO; if other.len() > 1 { other_total * c } else { 0 }],
+                partial: vec![S::ZERO; total * c],
+                modes,
+            }
+        };
+        let groups = [group(0..s, s..nmodes), group(s..nmodes, 0..s)];
+
+        // The first contraction of a column is the largest: of the last
+        // group mode, or of mode 0 when the last mode is the one kept.
+        let inter = groups
+            .iter()
+            .map(|g| {
+                let gd = &dims[g.modes.clone()];
+                gd.iter().product::<usize>() / gd[0].min(gd[gd.len() - 1])
+            })
+            .max()
+            .unwrap_or(0);
+        let max_dim = dims.iter().copied().max().unwrap_or(0);
+        let t = pool.num_threads();
+        let nsplit = t.min(c);
+        let ttv = Workspace::new(t, |tid| {
+            let cols = if tid < nsplit {
+                block_range(c, nsplit, tid)
+            } else {
+                0..0
+            };
+            TtvSlot {
+                v: vec![S::ZERO; max_dim],
+                a: vec![S::ZERO; inter],
+                b: vec![S::ZERO; inter],
+                out: vec![S::ZERO; max_dim * cols.len()],
+                cols,
+            }
+        });
+        DimTreePlan {
             dims: dims.to_vec(),
             c,
-            s,
-            left_total,
-            right_total,
-            kr: vec![0.0; right_total * c],
-            kl: vec![0.0; left_total * c],
-            r: vec![0.0; left_total * c],
-            l: vec![0.0; right_total * c],
-            col_buf: vec![0.0; dims.iter().copied().max().unwrap_or(1)],
-            work: Vec::new(),
-            next: Vec::new(),
-            outputs: dims.iter().map(|&d| vec![0.0; d * c]).collect(),
+            threads: t,
+            groups,
+            next: 0,
+            krp_state: KrpState::new(),
+            ttv,
+            kernels: *kernels::<S>(),
         }
     }
 
-    /// Compute `M_n = X(n)·(⊙_{k≠n} U_k)` for every mode at once,
-    /// sharing the two group partials; returns the per-mode outputs
-    /// (row-major `I_n × C`), owned by the plan and overwritten on the
-    /// next execution.
+    /// Tensor dimensions the plan was built for.
+    #[inline]
+    pub fn dims(&self) -> &[usize] {
+        &self.dims
+    }
+
+    /// Decomposition rank `C`.
+    #[inline]
+    pub fn rank(&self) -> usize {
+        self.c
+    }
+
+    /// Split point `s`: the left group is modes `0..s`, the right group
+    /// modes `s..N`.
+    #[inline]
+    pub fn split(&self) -> usize {
+        self.groups[1].modes.start
+    }
+
+    /// Mode `n`'s MTTKRP inside a sweep: `out ← X(n) · (⊙_{k≠n} U_k)`,
+    /// row-major `I_n × C`, overwritten.
+    ///
+    /// Contract: calls come for `n = 0, 1, …, N−1` in order, and only
+    /// factor `n−1` (factor `N−1` before `n = 0`) has changed since the
+    /// previous call. The left partial is then formed at `n = 0` and the
+    /// right one at `n = s`; every other mode is only its multi-TTV. A
+    /// call out of that order forms its group's partial afresh.
+    ///
+    /// The group work is charged to the triggering mode's breakdown:
+    /// the KRP to `lr_krp`, the partial GEMM to `dgemm`, and every
+    /// mode's multi-TTV to `dgemv`.
+    ///
+    /// # Panics
+    /// Panics if `pool`, `x`, `factors`, or `out` disagree with the
+    /// planned shape.
+    pub fn execute_in_sweep(
+        &mut self,
+        pool: &ThreadPool,
+        x: &DenseTensor<S>,
+        factors: &[MatRef<S>],
+        n: usize,
+        out: &mut [S],
+    ) -> Breakdown {
+        let refresh = n == 0 || n == self.split() || n != self.next;
+        self.run(pool, x, factors, n, out, refresh)
+    }
+
+    /// Mode `n`'s MTTKRP at arbitrary factors: forms mode `n`'s group
+    /// partial, then its multi-TTV. Any call order is valid.
     pub fn execute(
         &mut self,
         pool: &ThreadPool,
-        x: &DenseTensor,
-        factors: &[MatRef],
-    ) -> &[Vec<f64>] {
+        x: &DenseTensor<S>,
+        factors: &[MatRef<S>],
+        n: usize,
+        out: &mut [S],
+    ) -> Breakdown {
+        self.run(pool, x, factors, n, out, true)
+    }
+
+    fn run(
+        &mut self,
+        pool: &ThreadPool,
+        x: &DenseTensor<S>,
+        factors: &[MatRef<S>],
+        n: usize,
+        out: &mut [S],
+        refresh: bool,
+    ) -> Breakdown {
         assert_eq!(
             x.dims(),
             &self.dims[..],
             "tensor shape differs from the planned shape"
         );
+        assert_eq!(
+            pool.num_threads(),
+            self.threads,
+            "pool size differs from the planned team"
+        );
         let c = validate_factors(&self.dims, factors);
         assert_eq!(c, self.c, "factor rank differs from the planned rank");
+        assert!(n < self.dims.len(), "mode {n} out of range");
+        assert_eq!(out.len(), self.dims[n] * c, "output must be I_n × C");
 
-        let s = self.s;
-        let nmodes = self.dims.len();
-        let (left_total, right_total) = (self.left_total, self.right_total);
-
-        // Right partial: R = X(0:s−1) · KR  →  (Π left dims) × C, col-major.
-        {
-            let kr_inputs: Vec<MatRef> = factors[s..].iter().rev().copied().collect();
-            debug_assert_eq!(krp_rows(&kr_inputs), right_total);
-            par_krp(pool, &kr_inputs, &mut self.kr);
-            par_gemm(
-                pool,
-                1.0,
-                x.unfold_leading(s - 1),
-                MatRef::from_slice(&self.kr, right_total, c, Layout::RowMajor),
-                0.0,
-                MatMut::from_slice(&mut self.r, left_total, c, Layout::ColMajor),
-            );
-            for n in 0..s {
-                group_multi_ttv(
-                    &self.r,
-                    &self.dims[..s],
-                    c,
-                    n,
-                    factors,
-                    0,
-                    &mut self.outputs[n],
-                    &mut self.col_buf,
-                    &mut self.work,
-                    &mut self.next,
-                );
-            }
+        let _span = mttkrp_obs::span!("mttkrp", mode = n);
+        let total_t0 = std::time::Instant::now();
+        let mut bd = Breakdown::default();
+        let s = self.split();
+        let g = usize::from(n >= s);
+        let group = &mut self.groups[g];
+        if refresh {
+            let other_rows = group.other_order.iter().map(|&k| self.dims[k]).product();
+            let krp = if let [k] = group.other_order[..] {
+                factors[k]
+            } else {
+                timed_traced("krp", &mut bd.lr_krp, || {
+                    plan_krp(
+                        &self.kernels,
+                        pool,
+                        factors,
+                        &group.other_order,
+                        &mut self.krp_state,
+                        &mut group.krp,
+                        c,
+                    )
+                });
+                MatRef::from_slice(&group.krp, other_rows, c, Layout::RowMajor)
+            };
+            // X(0:s−1) is (Π left dims) × (Π right dims) column-major.
+            let xv = x.unfold_leading(s - 1);
+            let a = if g == 0 { xv } else { xv.t() };
+            let rows = a.nrows();
+            timed_traced("gemm", &mut bd.dgemm, || {
+                par_gemm_with(
+                    &self.kernels,
+                    pool,
+                    1.0,
+                    a,
+                    krp,
+                    0.0,
+                    MatMut::from_slice(&mut group.partial, rows, c, Layout::ColMajor),
+                )
+            });
         }
-
-        // Left partial: L = X(0:s−1)ᵀ · KL  →  (Π right dims) × C, col-major.
-        if s < nmodes {
-            let kl_inputs: Vec<MatRef> = factors[..s].iter().rev().copied().collect();
-            debug_assert_eq!(krp_rows(&kl_inputs), left_total);
-            par_krp(pool, &kl_inputs, &mut self.kl);
-            par_gemm(
+        let modes = group.modes.clone();
+        timed_traced("gemv", &mut bd.dgemv, || {
+            multi_ttv(
                 pool,
-                1.0,
-                x.unfold_leading(s - 1).t(),
-                MatRef::from_slice(&self.kl, left_total, c, Layout::RowMajor),
-                0.0,
-                MatMut::from_slice(&mut self.l, right_total, c, Layout::ColMajor),
-            );
-            for n in s..nmodes {
-                group_multi_ttv(
-                    &self.l,
-                    &self.dims[s..],
-                    c,
-                    n - s,
-                    factors,
-                    s,
-                    &mut self.outputs[n],
-                    &mut self.col_buf,
-                    &mut self.work,
-                    &mut self.next,
-                );
-            }
-        }
-
-        &self.outputs
-    }
-
-    /// Consume the plan, returning the per-mode outputs of the last
-    /// execution.
-    pub fn into_outputs(self) -> Vec<Vec<f64>> {
-        self.outputs
+                &mut self.ttv,
+                &group.partial,
+                &self.dims[modes.clone()],
+                n - modes.start,
+                &factors[modes],
+                c,
+                out,
+            )
+        });
+        self.next = n + 1;
+        bd.total = total_t0.elapsed().as_secs_f64();
+        bd
     }
 }
 
-/// Compute `M_n = X(n)·(⊙_{k≠n} U_k)` for every mode `n` at once,
-/// sharing the two group partials. Returns one row-major `I_n × C`
-/// matrix per mode.
-///
-/// Thin allocating wrapper over a one-shot [`AllModesPlan`].
-///
-/// Flops: `2·|X|·C` per partial GEMM (2 total) plus `O(|partial|·C)`
-/// multi-TTV work — versus `N · 2·|X|·C` for independent MTTKRPs.
-pub fn mttkrp_all_modes(pool: &ThreadPool, x: &DenseTensor, factors: &[MatRef]) -> Vec<Vec<f64>> {
-    let c = validate_factors(x.dims(), factors);
-    let mut plan = AllModesPlan::new(x.dims(), c);
-    plan.execute(pool, x, factors);
-    plan.into_outputs()
-}
-
-/// Contract the group partial `(g_dims…, C)` against the `j`-th columns
-/// of every in-group factor except `local_n`, writing row-major
-/// `I_{local_n} × C` into `out`. Scratch buffers are caller-owned so
-/// repeated executions do not allocate.
-///
-/// Specialized contiguous paths: groups of size 1 (transpose copy) and
-/// size 2 (one GEMV per column); larger groups fold modes pairwise via
-/// GEMV chains on contiguous reshapes.
+/// `out ← M_n` from a group partial: column `j` of the partial, a
+/// tensor over the group dims `g`, contracted with column `j` of every
+/// group factor `gf` except local mode `p`. The columns are dealt
+/// across the team; each thread's results land in its slot and are
+/// scattered into the row-major `out` afterwards.
 #[allow(clippy::too_many_arguments)]
-fn group_multi_ttv(
-    partial: &[f64],
-    g_dims: &[usize],
+fn multi_ttv<S: Scalar>(
+    pool: &ThreadPool,
+    ttv: &mut Workspace<TtvSlot<S>>,
+    partial: &[S],
+    g: &[usize],
+    p: usize,
+    gf: &[MatRef<S>],
     c: usize,
-    local_n: usize,
-    factors: &[MatRef],
-    group_offset: usize,
-    out: &mut [f64],
-    col_buf: &mut [f64],
-    work: &mut Vec<f64>,
-    next: &mut Vec<f64>,
+    out: &mut [S],
 ) {
-    let g_total: usize = g_dims.iter().product();
-    let rows = g_dims[local_n];
-    debug_assert_eq!(out.len(), rows * c);
-    debug_assert_eq!(partial.len(), g_total * c);
+    let total: usize = g.iter().product();
+    let rows = g[p];
+    pool.run_with_workspace(ttv, |_, slot| {
+        for (jj, j) in slot.cols.clone().enumerate() {
+            let sub = &partial[j * total..(j + 1) * total];
+            let col = contract(sub, g, p, gf, j, &mut slot.v, &mut slot.a, &mut slot.b);
+            slot.out[jj * rows..(jj + 1) * rows].copy_from_slice(col);
+        }
+    });
+    for slot in ttv.slots() {
+        for (jj, j) in slot.cols.clone().enumerate() {
+            for (i, &v) in slot.out[jj * rows..(jj + 1) * rows].iter().enumerate() {
+                out[i * c + j] = v;
+            }
+        }
+    }
+}
 
-    let mut cur_dims: Vec<usize> = Vec::with_capacity(g_dims.len());
-    for j in 0..c {
-        let sub = &partial[j * g_total..(j + 1) * g_total];
-        if g_dims.len() == 1 {
-            for i in 0..rows {
-                out[i * c + j] = sub[i];
-            }
-            continue;
+/// Contract the column-major tensor `sub` (dims `g`) with column `j` of
+/// every factor in `gf` except local mode `p`, returning the length
+/// `g[p]` result. Modes above `p` go first, highest first, as GEMVs with
+/// the `(lead × g_high)` column-major reshape; then modes below `p`,
+/// lowest first, through the transposed `(g_low × rest)` reshape. Every
+/// step reads and writes contiguous memory, ping-ponging between `a`
+/// and `b`.
+#[allow(clippy::too_many_arguments)]
+fn contract<'a, S: Scalar>(
+    sub: &'a [S],
+    g: &[usize],
+    p: usize,
+    gf: &[MatRef<S>],
+    j: usize,
+    v: &mut [S],
+    a: &'a mut [S],
+    b: &'a mut [S],
+) -> &'a [S] {
+    #[derive(Clone, Copy)]
+    enum Cur {
+        Sub,
+        A,
+        B,
+    }
+    let (mut lo, mut hi) = (0, g.len());
+    let mut cur = Cur::Sub;
+    while hi - lo > 1 {
+        let high = hi - 1 > p;
+        let k = if high { hi - 1 } else { lo };
+        let d = g[k];
+        for (i, vi) in v[..d].iter_mut().enumerate() {
+            *vi = gf[k].get(i, j);
         }
-        // Iteratively contract the highest remaining mode (≠ local_n),
-        // then the lowest ones, keeping data contiguous throughout.
-        work.clear();
-        work.extend_from_slice(sub);
-        cur_dims.clear();
-        cur_dims.extend_from_slice(g_dims);
-        let mut n_pos = local_n;
-        // High modes: the tensor is (lead, d_high) column-major; each
-        // contraction is one GEMV with the matrix (lead × d_high).
-        while cur_dims.len() > n_pos + 1 {
-            let d_high = *cur_dims.last().unwrap();
-            let lead: usize = cur_dims[..cur_dims.len() - 1].iter().product();
-            let f = &factors[group_offset + cur_dims.len() - 1];
-            for (i, slot) in col_buf[..d_high].iter_mut().enumerate() {
-                *slot = f.get(i, j);
-            }
-            next.clear();
-            next.resize(lead, 0.0);
-            let mat = MatRef::from_slice(&work[..lead * d_high], lead, d_high, Layout::ColMajor);
-            gemv(1.0, mat, &col_buf[..d_high], 0.0, next);
-            std::mem::swap(work, next);
-            cur_dims.pop();
+        let len: usize = g[lo..hi].iter().product();
+        let rest = len / d;
+        let (src, dst): (&[S], &mut [S]) = match cur {
+            Cur::Sub => (&sub[..len], &mut a[..rest]),
+            Cur::A => (&a[..len], &mut b[..rest]),
+            Cur::B => (&b[..len], &mut a[..rest]),
+        };
+        if high {
+            let m = MatRef::from_slice(src, rest, d, Layout::ColMajor);
+            gemv(1.0, m, &v[..d], 0.0, dst);
+            hi -= 1;
+        } else {
+            let m = MatRef::from_slice(src, d, rest, Layout::ColMajor);
+            gemv(1.0, m.t(), &v[..d], 0.0, dst);
+            lo += 1;
         }
-        // Low modes: the tensor is (d_low, rest) column-major; contract
-        // mode 0 via the transposed view (rest × d_low).
-        while n_pos > 0 {
-            let d_low = cur_dims[0];
-            let rest: usize = cur_dims[1..].iter().product();
-            let f = &factors[group_offset + (local_n - n_pos)];
-            for (i, slot) in col_buf[..d_low].iter_mut().enumerate() {
-                *slot = f.get(i, j);
-            }
-            next.clear();
-            next.resize(rest, 0.0);
-            let mat = MatRef::from_slice(&work[..d_low * rest], d_low, rest, Layout::ColMajor);
-            gemv(1.0, mat.t(), &col_buf[..d_low], 0.0, next);
-            std::mem::swap(work, next);
-            cur_dims.remove(0);
-            n_pos -= 1;
-        }
-        debug_assert_eq!(work.len(), rows);
-        for (i, &v) in work[..rows].iter().enumerate() {
-            out[i * c + j] = v;
-        }
+        cur = match cur {
+            Cur::Sub | Cur::B => Cur::A,
+            Cur::A => Cur::B,
+        };
+    }
+    match cur {
+        Cur::Sub => sub,
+        Cur::A => &a[..g[p]],
+        Cur::B => &b[..g[p]],
     }
 }
 
@@ -267,36 +397,52 @@ fn group_multi_ttv(
 mod tests {
     use super::*;
     use crate::oracle::mttkrp_oracle;
+    use mttkrp_rng::Rng64;
 
-    fn rand_vec(n: usize, seed: u64) -> Vec<f64> {
-        let mut st = seed | 1;
-        (0..n)
-            .map(|_| {
-                st = st.wrapping_mul(6364136223846793005).wrapping_add(31);
-                ((st >> 33) as f64 / (1u64 << 32) as f64) - 0.5
+    /// A random tensor and factors of `dims` at rank `c`.
+    fn setup(dims: &[usize], c: usize, seed: u64) -> (DenseTensor, Vec<Vec<f64>>) {
+        let mut rng = Rng64::seed_from_u64(seed);
+        let mut rand = |len: usize| (0..len).map(|_| rng.next_f64() - 0.5).collect::<Vec<_>>();
+        let x = DenseTensor::from_vec(dims, rand(dims.iter().product()));
+        (x, dims.iter().map(|&d| rand(d * c)).collect())
+    }
+
+    fn refs<'a>(factors: &'a [Vec<f64>], dims: &[usize], c: usize) -> Vec<MatRef<'a>> {
+        let view = |(f, &d): (&'a Vec<f64>, &usize)| MatRef::from_slice(f, d, c, Layout::RowMajor);
+        factors.iter().zip(dims).map(view).collect()
+    }
+
+    /// One in-sweep pass over every mode at fixed factors (the gradient
+    /// call sequence), with each mode's breakdown.
+    fn all_modes(
+        plan: &mut DimTreePlan,
+        pool: &ThreadPool,
+        x: &DenseTensor,
+        f: &[MatRef],
+    ) -> Vec<(Vec<f64>, Breakdown)> {
+        let (dims, c) = (x.dims(), plan.rank());
+        (0..dims.len())
+            .map(|n| {
+                let mut out = vec![f64::NAN; dims[n] * c];
+                let bd = plan.execute_in_sweep(pool, x, f, n, &mut out);
+                (out, bd)
             })
             .collect()
     }
 
+    fn outputs(all: Vec<(Vec<f64>, Breakdown)>) -> Vec<Vec<f64>> {
+        all.into_iter().map(|(out, _)| out).collect()
+    }
+
     fn check(dims: &[usize], c: usize, t: usize) {
-        let x = DenseTensor::from_vec(dims, rand_vec(dims.iter().product(), 3));
-        let factors: Vec<Vec<f64>> = dims
-            .iter()
-            .enumerate()
-            .map(|(k, &d)| rand_vec(d * c, k as u64 + 9))
-            .collect();
-        let refs: Vec<MatRef> = factors
-            .iter()
-            .zip(dims)
-            .map(|(f, &d)| MatRef::from_slice(f, d, c, Layout::RowMajor))
-            .collect();
+        let (x, factors) = setup(dims, c, 3);
+        let f = refs(&factors, dims, c);
         let pool = ThreadPool::new(t);
-        let all = mttkrp_all_modes(&pool, &x, &refs);
-        assert_eq!(all.len(), dims.len());
-        for n in 0..dims.len() {
+        let mut plan = DimTreePlan::new(&pool, dims, c);
+        for (n, (got, _)) in all_modes(&mut plan, &pool, &x, &f).iter().enumerate() {
             let mut want = vec![0.0; dims[n] * c];
-            mttkrp_oracle(&x, &refs, n, &mut want);
-            for (a, b) in all[n].iter().zip(&want) {
+            mttkrp_oracle(&x, &f, n, &mut want);
+            for (a, b) in got.iter().zip(&want) {
                 assert!(
                     (a - b).abs() < 1e-9 * (1.0 + b.abs()),
                     "dims {dims:?} mode {n} t={t}: {a} vs {b}"
@@ -319,29 +465,54 @@ mod tests {
         check(&[13, 2, 7], 4, 2);
         check(&[1, 6, 5], 2, 2);
         check(&[6, 1, 5, 2], 2, 1);
+        check(&[5, 4, 1], 3, 2);
+        check(&[3, 1, 4, 1, 2], 5, 3);
     }
 
+    /// The in-sweep sequence reuses the partials; `execute` re-forms
+    /// them on every call. Both must agree bit for bit, repeat stably,
+    /// and not depend on the team size.
     #[test]
     fn plan_reuse_matches_wrapper_and_is_stable() {
-        let dims = [4usize, 3, 2, 3];
+        let dims = [4usize, 3, 2, 3, 5];
         let c = 3;
-        let x = DenseTensor::from_vec(&dims, rand_vec(dims.iter().product(), 5));
-        let factors: Vec<Vec<f64>> = dims
-            .iter()
-            .enumerate()
-            .map(|(k, &d)| rand_vec(d * c, k as u64 + 21))
-            .collect();
-        let refs: Vec<MatRef> = factors
-            .iter()
-            .zip(&dims)
-            .map(|(f, &d)| MatRef::from_slice(f, d, c, Layout::RowMajor))
-            .collect();
+        let (x, factors) = setup(&dims, c, 5);
+        let f = refs(&factors, &dims, c);
         let pool = ThreadPool::new(2);
-        let wrapper = mttkrp_all_modes(&pool, &x, &refs);
-        let mut plan = AllModesPlan::new(&dims, c);
-        let first = plan.execute(&pool, &x, &refs).to_vec();
-        assert_eq!(first, wrapper, "plan output differs from wrapper");
-        let again = plan.execute(&pool, &x, &refs).to_vec();
+        let mut plan = DimTreePlan::new(&pool, &dims, c);
+        let fresh: Vec<Vec<f64>> = (0..dims.len())
+            .map(|n| {
+                let mut out = vec![0.0; dims[n] * c];
+                plan.execute(&pool, &x, &f, n, &mut out);
+                out
+            })
+            .collect();
+        let first = outputs(all_modes(&mut plan, &pool, &x, &f));
+        assert_eq!(first, fresh, "in-sweep output differs from execute");
+        let again = outputs(all_modes(&mut plan, &pool, &x, &f));
         assert_eq!(first, again, "plan output drifted across executions");
+        for t in [1, 3] {
+            let pool = ThreadPool::new(t);
+            let mut plan = DimTreePlan::new(&pool, &dims, c);
+            assert_eq!(outputs(all_modes(&mut plan, &pool, &x, &f)), first, "t={t}");
+        }
+    }
+
+    /// Modes 0 and `s` carry their group's KRP and partial GEMM; every
+    /// mode carries its multi-TTV.
+    #[test]
+    fn group_work_is_charged_to_the_triggering_modes() {
+        let dims = [6usize, 5, 4, 3];
+        let (x, factors) = setup(&dims, 2, 9);
+        let f = refs(&factors, &dims, 2);
+        let pool = ThreadPool::new(1);
+        let mut plan = DimTreePlan::new(&pool, &dims, 2);
+        assert_eq!(plan.split(), 2);
+        for (n, (_, bd)) in all_modes(&mut plan, &pool, &x, &f).iter().enumerate() {
+            let group_mode = n == 0 || n == 2;
+            assert_eq!(bd.dgemm > 0.0, group_mode, "mode {n}: {bd:?}");
+            assert_eq!(bd.lr_krp > 0.0, group_mode, "mode {n}: {bd:?}");
+            assert!(bd.dgemv > 0.0 && bd.total >= bd.categorized(), "mode {n}");
+        }
     }
 }

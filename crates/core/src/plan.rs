@@ -75,6 +75,7 @@ use mttkrp_tensor::DenseTensor;
 
 use crate::breakdown::{timed, timed_traced, Breakdown};
 use crate::model::{tuned_cost, ModeCost};
+use crate::multimode::DimTreePlan;
 use crate::twostep::TwoStepSide;
 use crate::validate_factors;
 
@@ -617,7 +618,7 @@ impl<S: Scalar> MttkrpPlan<S> {
 /// Form the KRP `factors[order[0]] ⊙ …` into `out`: cursor-state path
 /// for one thread (allocation-free), row-partitioned [`par_krp`] for a
 /// team.
-fn plan_krp<S: Scalar>(
+pub(crate) fn plan_krp<S: Scalar>(
     ks: &KernelSet<S>,
     pool: &ThreadPool,
     factors: &[MatRef<S>],
@@ -887,11 +888,19 @@ fn reduce_slots<W, S: Scalar>(
     reduce::sum_into(pool, out, &parts);
 }
 
-/// One plan per mode of a tensor shape — what CP-ALS builds once per
-/// model and reuses every sweep.
+/// The MTTKRP plans a driver holds for one tensor shape: one
+/// [`MttkrpPlan`] per mode, or one [`DimTreePlan`] that serves every
+/// mode from two group partials (the CP-ALS sweep of an order ≥ 3
+/// tensor, see [`MttkrpPlanSet::for_sweep`]).
 #[derive(Debug)]
 pub struct MttkrpPlanSet<S: Scalar = f64> {
-    plans: Vec<MttkrpPlan<S>>,
+    kind: SetKind<S>,
+}
+
+#[derive(Debug)]
+enum SetKind<S: Scalar> {
+    PerMode(Vec<MttkrpPlan<S>>),
+    TwoGroup(Box<DimTreePlan<S>>),
 }
 
 impl<S: Scalar> MttkrpPlanSet<S> {
@@ -901,28 +910,47 @@ impl<S: Scalar> MttkrpPlanSet<S> {
         let plans = (0..dims.len())
             .map(|n| MttkrpPlan::new(pool, dims, c, n, choice))
             .collect();
-        MttkrpPlanSet { plans }
+        MttkrpPlanSet {
+            kind: SetKind::PerMode(plans),
+        }
+    }
+
+    /// The plans a CP-ALS sweep runs: one [`DimTreePlan`] for an order
+    /// ≥ 3 tensor under [`AlgoChoice::Heuristic`] or [`AlgoChoice::Tuned`]
+    /// (two passes over the tensor per sweep instead of `N`), otherwise
+    /// [`MttkrpPlanSet::new`]'s per-mode kernels.
+    pub fn for_sweep(pool: &ThreadPool, dims: &[usize], c: usize, choice: AlgoChoice) -> Self {
+        if dims.len() >= 3 && matches!(choice, AlgoChoice::Heuristic | AlgoChoice::Tuned) {
+            MttkrpPlanSet {
+                kind: SetKind::TwoGroup(Box::new(DimTreePlan::new(pool, dims, c))),
+            }
+        } else {
+            Self::new(pool, dims, c, choice)
+        }
     }
 
     /// Number of planned modes.
     #[inline]
     pub fn nmodes(&self) -> usize {
-        self.plans.len()
+        match &self.kind {
+            SetKind::PerMode(plans) => plans.len(),
+            SetKind::TwoGroup(tree) => tree.dims().len(),
+        }
     }
 
     /// The plan for mode `n`.
+    ///
+    /// # Panics
+    /// Panics on a two-group set, which has no per-mode plans.
     #[inline]
     pub fn plan(&self, n: usize) -> &MttkrpPlan<S> {
-        &self.plans[n]
+        match &self.kind {
+            SetKind::PerMode(plans) => &plans[n],
+            SetKind::TwoGroup(_) => panic!("a two-group plan set has no per-mode plans"),
+        }
     }
 
-    /// Mutable plan for mode `n`.
-    #[inline]
-    pub fn plan_mut(&mut self, n: usize) -> &mut MttkrpPlan<S> {
-        &mut self.plans[n]
-    }
-
-    /// Execute the mode-`n` plan.
+    /// Execute the mode-`n` MTTKRP.
     pub fn execute(
         &mut self,
         pool: &ThreadPool,
@@ -931,10 +959,12 @@ impl<S: Scalar> MttkrpPlanSet<S> {
         n: usize,
         out: &mut [S],
     ) {
-        self.plans[n].execute(pool, x, factors, out);
+        let _ = self.execute_timed(pool, x, factors, n, out);
     }
 
-    /// Execute the mode-`n` plan, returning the phase breakdown.
+    /// Execute the mode-`n` MTTKRP, returning the phase breakdown. Any
+    /// call order is valid; a two-group set forms mode `n`'s group
+    /// partial on every call.
     pub fn execute_timed(
         &mut self,
         pool: &ThreadPool,
@@ -943,7 +973,26 @@ impl<S: Scalar> MttkrpPlanSet<S> {
         n: usize,
         out: &mut [S],
     ) -> Breakdown {
-        self.plans[n].execute_timed(pool, x, factors, out)
+        match &mut self.kind {
+            SetKind::PerMode(plans) => plans[n].execute_timed(pool, x, factors, out),
+            SetKind::TwoGroup(tree) => tree.execute(pool, x, factors, n, out),
+        }
+    }
+
+    /// Mode `n`'s MTTKRP inside a sweep, under the call-order contract
+    /// of [`DimTreePlan::execute_in_sweep`]; per-mode plans ignore it.
+    pub fn execute_in_sweep(
+        &mut self,
+        pool: &ThreadPool,
+        x: &DenseTensor<S>,
+        factors: &[MatRef<S>],
+        n: usize,
+        out: &mut [S],
+    ) -> Breakdown {
+        match &mut self.kind {
+            SetKind::PerMode(plans) => plans[n].execute_timed(pool, x, factors, out),
+            SetKind::TwoGroup(tree) => tree.execute_in_sweep(pool, x, factors, n, out),
+        }
     }
 }
 

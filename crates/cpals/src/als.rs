@@ -1,10 +1,10 @@
 //! The CP-ALS driver (§2.2) with selectable MTTKRP kernels.
 //!
 //! [`cp_als`] is generic over [`MttkrpBackend`]: the same sweep runs on
-//! a dense tensor (planned 1-step/2-step kernels or the explicit
-//! baseline) or on a `mttkrp_sparse::CsfTensor` (planned tree-walk
-//! kernel) — the driver only ever asks the backend for its shape, its
-//! norm, and a planned mode-`n` MTTKRP.
+//! a dense tensor (the two-group plan, planned 1-step/2-step kernels or
+//! the explicit baseline) or on a `mttkrp_sparse::CsfTensor` (planned
+//! tree-walk kernel) — the driver only ever asks the backend for its
+//! shape, its norm, and mode `n`'s MTTKRP inside the sweep.
 
 use mttkrp_blas::{gemm, Layout, MatMut, MatRef, Scalar};
 use mttkrp_core::{AlgoChoice, Breakdown, MttkrpBackend, TwoStepSide};
@@ -15,10 +15,18 @@ use crate::gram::{factor_view, gram_into, hadamard_excluding_into, GramWorkspace
 use crate::model::KruskalModel;
 
 /// Which MTTKRP kernel CP-ALS uses for every mode.
+///
+/// On a dense tensor of order `N >= 3`, [`MttkrpStrategy::Auto`] and
+/// [`MttkrpStrategy::Tuned`] run the two-group sweep
+/// (`mttkrp_core::DimTreePlan`): two partial-MTTKRP GEMMs per sweep,
+/// then one multi-TTV per mode, so the tensor is read twice per sweep
+/// instead of `N` times. The forced strategies, order-2 tensors, and
+/// the sparse and out-of-core backends run one planned MTTKRP per mode.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum MttkrpStrategy {
-    /// The paper's choice (§5.3.3): 1-step for external modes, 2-step
-    /// for internal modes.
+    /// The two-group sweep on dense order ≥ 3 tensors; otherwise the
+    /// paper's per-mode choice (§5.3.3): 1-step for external modes,
+    /// 2-step for internal modes.
     Auto,
     /// 1-step everywhere (Algorithm 3).
     OneStep,
@@ -29,9 +37,10 @@ pub enum MttkrpStrategy {
     /// matricization + full KRP + one GEMM per mode (Figure 7's Matlab
     /// comparator).
     Explicit,
-    /// Per-mode choice from the process-wide cost model installed by a
-    /// calibrated tuning profile (`mttkrp-tune`); identical to
-    /// [`MttkrpStrategy::Auto`] when no profile is loaded.
+    /// The two-group sweep where [`MttkrpStrategy::Auto`] runs it;
+    /// elsewhere the per-mode choice from the process-wide cost model
+    /// installed by a calibrated tuning profile (`mttkrp-tune`),
+    /// identical to [`MttkrpStrategy::Auto`] when no profile is loaded.
     Tuned,
 }
 
@@ -85,9 +94,10 @@ pub struct CpAlsReport {
     /// Accumulated MTTKRP phase breakdown over all modes and iterations.
     pub breakdown: Breakdown,
     /// Per-mode accumulated MTTKRP breakdowns (index = mode) over all
-    /// iterations — what the roofline perf report attributes. Empty
-    /// for drivers whose MTTKRP work is shared across modes and cannot
-    /// be attributed per mode (the dimension-tree driver).
+    /// iterations — what the roofline perf report attributes; they sum
+    /// to [`CpAlsReport::breakdown`]. In the two-group sweep a group's
+    /// KRP and partial GEMM are charged to the mode that forms it
+    /// (modes 0 and `⌈N/2⌉`), and every mode carries its multi-TTV.
     pub mode_breakdowns: Vec<Breakdown>,
     /// Whether the tolerance was met before `max_iters`.
     pub converged: bool,
@@ -246,11 +256,12 @@ impl<X: MttkrpBackend> CpAlsSweep<X> {
             })
             .collect();
 
-        // One plan per mode, built once and reused every sweep:
-        // algorithm choice, partition schedule, and workspaces are
-        // fixed by the backend's structure, so the per-iteration MTTKRP
-        // path performs no heap allocation.
-        let plans = x.plan_modes(pool, c, opts.strategy.algo_choice());
+        // The sweep's plans, built once and reused every sweep (for a
+        // dense order >= 3 tensor under Auto/Tuned, one two-group plan
+        // serving every mode): algorithm choice, partition schedule,
+        // and workspaces are fixed by the backend's structure, so the
+        // per-iteration MTTKRP path performs no heap allocation.
+        let plans = x.plan_sweep(pool, c, opts.strategy.algo_choice());
 
         CpAlsSweep {
             plans,
@@ -310,7 +321,7 @@ impl<X: MttkrpBackend> CpAlsSweep<X> {
             let bd = {
                 let plans = &mut self.plans;
                 self.model
-                    .with_factor_refs(|refs| x.mttkrp_planned(plans, pool, refs, n, m))
+                    .with_factor_refs(|refs| x.mttkrp_in_sweep(plans, pool, refs, n, m))
             };
             sweep_bd.accumulate(&bd);
             self.mode_bd[n].accumulate(&bd);

@@ -7,13 +7,14 @@
 //! `∂f/∂U_n = U_n·(⊛_{k≠n} U_kᵀU_k) − M_n`
 //!
 //! with `M_n` the mode-`n` MTTKRP. All `N` MTTKRPs are computed at a
-//! *fixed* factor set here, so [`mttkrp_core::mttkrp_all_modes`]'s
-//! two-GEMM shared-partial evaluation applies directly.
+//! *fixed* factor set: the sweep call sequence of
+//! [`MttkrpBackend::mttkrp_in_sweep`] with no updates in between, so a
+//! dense order ≥ 3 tensor gets all of them from the two partial GEMMs
+//! of `mttkrp_core::DimTreePlan`.
 
 use mttkrp_blas::{gemm, Layout, MatMut, MatRef, Scalar};
-use mttkrp_core::{AlgoChoice, AllModesPlan, MttkrpBackend};
+use mttkrp_core::{AlgoChoice, MttkrpBackend};
 use mttkrp_parallel::ThreadPool;
-use mttkrp_tensor::DenseTensor;
 
 use crate::gram::{factor_view, gram, hadamard_excluding};
 use crate::model::KruskalModel;
@@ -25,11 +26,12 @@ use crate::model::KruskalModel;
 /// Returns `(f, [∂f/∂U_0, …])` with each gradient row-major `I_n × C`.
 ///
 /// Generic over the tensor storage ([`MttkrpBackend`]): the gradient
-/// needs only the `N` planned mode-wise MTTKRPs plus `‖X‖²`, so it runs
-/// unchanged on dense or CSF tensors. Dense optimizers evaluating many
-/// gradients at the same shape should hold an [`AllModesPlan`] and call
-/// [`cp_gradient_planned`] instead — it additionally shares the 2-GEMM
-/// partial across modes.
+/// needs only the `N` MTTKRPs plus `‖X‖²`, so it runs unchanged on
+/// dense or CSF tensors. It plans with
+/// [`MttkrpBackend::plan_sweep`], so a dense order ≥ 3 tensor shares
+/// two partial GEMMs across the modes. Optimizers evaluating many
+/// gradients at the same shape should hold those plans and call
+/// [`cp_gradient_planned`] instead.
 ///
 /// # Panics
 /// Panics if the model's λ is not identically 1 (fold weights into a
@@ -39,26 +41,13 @@ pub fn cp_gradient<X: MttkrpBackend>(
     x: &X,
     model: &KruskalModel<X::Elem>,
 ) -> (f64, Vec<Vec<X::Elem>>) {
-    assert!(
-        model.lambda.iter().all(|&l| l == 1.0),
-        "fold λ into a factor before calling cp_gradient"
-    );
-    let dims = x.dims().to_vec();
-    let c = model.rank();
-    assert_eq!(model.dims(), &dims[..], "model shape must match tensor");
-
-    let refs = model.factor_refs();
-    let mut plans = x.plan_modes(pool, c, Some(AlgoChoice::Heuristic));
-    let mut grads: Vec<Vec<X::Elem>> = dims
+    let mut plans = x.plan_sweep(pool, model.rank(), Some(AlgoChoice::Heuristic));
+    let mut grads: Vec<Vec<X::Elem>> = x
+        .dims()
         .iter()
-        .map(|&d| vec![<X::Elem as Scalar>::ZERO; d * c])
+        .map(|&d| vec![<X::Elem as Scalar>::ZERO; d * model.rank()])
         .collect();
-    for (n, g) in grads.iter_mut().enumerate() {
-        x.mttkrp_planned(&mut plans, pool, &refs, n, g);
-    }
-
-    let norm_x = x.norm();
-    let f = finish_gradient(pool, model, &dims, norm_x * norm_x, &mut grads);
+    let f = cp_gradient_planned(pool, x, model, &mut plans, &mut grads);
     (f, grads)
 }
 
@@ -118,46 +107,47 @@ fn finish_gradient<S: Scalar>(
     f.max(0.0)
 }
 
-/// [`cp_gradient`] against caller-held state: the all-modes MTTKRP plan
-/// and the per-mode gradient buffers are reused across evaluations, so
-/// an optimizer's steady-state gradient loop allocates nothing
-/// tensor-sized — only small per-call temporaries remain (KRP input
-/// lists, cursor state, and the `C × C` Gram/Hadamard products).
+/// [`cp_gradient`] against caller-held state: plans from
+/// [`MttkrpBackend::plan_sweep`] and the per-mode gradient buffers are
+/// reused across evaluations, so an optimizer's steady-state gradient
+/// loop allocates nothing tensor-sized — only the `C × C` Gram and
+/// Hadamard products remain per call.
 ///
 /// # Panics
 /// Panics if the model's λ is not identically 1, shapes mismatch, or
 /// `grads` does not hold one `I_n × C` buffer per mode.
-pub fn cp_gradient_planned(
+pub fn cp_gradient_planned<X: MttkrpBackend>(
     pool: &ThreadPool,
-    x: &DenseTensor,
-    model: &KruskalModel,
-    plan: &mut AllModesPlan,
-    grads: &mut [Vec<f64>],
+    x: &X,
+    model: &KruskalModel<X::Elem>,
+    plans: &mut X::PlanSet,
+    grads: &mut [Vec<X::Elem>],
 ) -> f64 {
     assert!(
         model.lambda.iter().all(|&l| l == 1.0),
         "fold λ into a factor before calling cp_gradient"
     );
     let dims = x.dims().to_vec();
-    let nmodes = dims.len();
     let c = model.rank();
     assert_eq!(model.dims(), &dims[..], "model shape must match tensor");
-    assert_eq!(grads.len(), nmodes, "one gradient buffer per mode");
-
-    let refs = model.factor_refs();
-    let mttkrps = plan.execute(pool, x, &refs);
-    for (n, g) in grads.iter_mut().enumerate() {
+    assert_eq!(grads.len(), dims.len(), "one gradient buffer per mode");
+    for (n, g) in grads.iter().enumerate() {
         assert_eq!(g.len(), dims[n] * c, "gradient buffer {n} must be I_n × C");
-        g.copy_from_slice(&mttkrps[n]);
     }
 
-    let norm_x_sq = x.data().iter().map(|v| v * v).sum::<f64>();
-    finish_gradient(pool, model, &dims, norm_x_sq, grads)
+    model.with_factor_refs(|refs| {
+        for (n, g) in grads.iter_mut().enumerate() {
+            x.mttkrp_in_sweep(plans, pool, refs, n, g);
+        }
+    });
+    let norm_x = x.norm();
+    finish_gradient(pool, model, &dims, norm_x * norm_x, grads)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use mttkrp_tensor::DenseTensor;
 
     fn objective(x: &DenseTensor, model: &KruskalModel) -> f64 {
         let y = model.to_dense();
@@ -229,5 +219,47 @@ mod tests {
         model.lambda[0] = 2.0;
         let pool = ThreadPool::new(1);
         let _ = cp_gradient(&pool, &x, &model);
+    }
+
+    /// The gradient through held two-group plans against the gradient
+    /// through per-mode 1-step plans (and a one-shot `cp_gradient`),
+    /// over orders 2–6 with ragged and size-1 modes.
+    #[test]
+    fn two_group_gradient_matches_per_mode() {
+        let cases: [(&[usize], usize, usize); 8] = [
+            (&[4, 5], 3, 1),
+            (&[4, 3, 5], 3, 2),
+            (&[3, 4, 2, 3], 2, 2),
+            (&[2, 3, 2, 2, 3], 2, 3),
+            (&[2, 2, 2, 2, 2, 2], 2, 1),
+            (&[13, 2, 7], 4, 2),
+            (&[1, 6, 5], 2, 2),
+            (&[6, 1, 5, 2], 2, 1),
+        ];
+        for (dims, c, t) in cases {
+            let x = KruskalModel::random(dims, c, 31).to_dense();
+            let pool = ThreadPool::new(t);
+            let zeros = || -> Vec<Vec<f64>> { dims.iter().map(|&d| vec![0.0; d * c]).collect() };
+            let mut tree = x.plan_sweep(&pool, c, Some(AlgoChoice::Heuristic));
+            let mut per_mode = x.plan_modes(&pool, c, Some(AlgoChoice::OneStep));
+            for seed in [32, 33] {
+                let model = KruskalModel::random(dims, c, seed);
+                let (mut got, mut want) = (zeros(), zeros());
+                let f = cp_gradient_planned(&pool, &x, &model, &mut tree, &mut got);
+                let f_want = cp_gradient_planned(&pool, &x, &model, &mut per_mode, &mut want);
+                assert!((f - f_want).abs() <= 1e-12 * (1.0 + f_want), "{dims:?}");
+                for (a, b) in got.iter().flatten().zip(want.iter().flatten()) {
+                    assert!(
+                        (a - b).abs() < 1e-9 * (1.0 + b.abs()),
+                        "{dims:?}: {a} vs {b}"
+                    );
+                }
+                assert_eq!(
+                    cp_gradient(&pool, &x, &model).1,
+                    got,
+                    "{dims:?}: held vs fresh"
+                );
+            }
+        }
     }
 }

@@ -13,17 +13,19 @@
 //! for internal, exactly as in §5.3.3); [`MttkrpStrategy::Explicit`]
 //! reproduces the Tensor-Toolbox-style baseline the paper compares
 //! against in Figure 7 (Matlab's `cp_als`, whose MTTKRP reorders the
-//! tensor and forms the full KRP). The [`dimtree`] module implements the
-//! paper's future-work item — Phan et al. §III.C reuse of partial
-//! MTTKRPs across modes within one iteration.
+//! tensor and forms the full KRP). On a dense tensor of order ≥ 3,
+//! [`MttkrpStrategy::Auto`] runs the paper's future-work item — Phan et
+//! al. §III.C reuse of partial MTTKRPs across the modes of one sweep:
+//! two partial GEMMs (`mttkrp_core::DimTreePlan`) serve all `N` modes.
 //!
 //! Every iterative driver here builds its MTTKRP execution state
-//! **once per model** and reuses it every sweep: [`cp_als`] and
-//! [`cp_als_nn`] hold an `mttkrp_core::MttkrpPlanSet` (one cached plan
-//! per mode — algorithm choice, partition schedule, and per-thread
-//! workspaces), and [`cp_gradient_planned`] accepts a caller-held
-//! `mttkrp_core::AllModesPlan`, so steady-state iterations perform no
-//! per-iteration allocation in the MTTKRP path.
+//! **once per model** and reuses it every sweep: [`cp_als`] holds the
+//! backend's sweep plans (the two-group plan, or one cached plan per
+//! mode — algorithm choice, partition schedule, and per-thread
+//! workspaces), [`cp_als_nn`] an `mttkrp_core::MttkrpPlanSet`, and
+//! [`cp_gradient_planned`] accepts caller-held sweep plans, so
+//! steady-state iterations perform no per-iteration allocation in the
+//! MTTKRP path.
 //!
 //! # Example
 //!
@@ -42,14 +44,12 @@
 //! ```
 
 pub mod als;
-pub mod dimtree;
 pub mod gradient;
 pub mod gram;
 pub mod model;
 pub mod nncp;
 
 pub use als::{cp_als, CpAlsOptions, CpAlsReport, CpAlsSweep, MttkrpStrategy};
-pub use dimtree::cp_als_dimtree;
 pub use gradient::{cp_gradient, cp_gradient_planned};
 pub use model::KruskalModel;
 pub use mttkrp_linalg::{SolvePolicy, SolveVariant};

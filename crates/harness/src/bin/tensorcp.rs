@@ -8,7 +8,7 @@
 //! tensorcp gen --dims 60x50x40 --rank 5 --noise 0.01 --out x.mtkt
 //! tensorcp gen --dims 800x700x600 --ooc --budget-mb 64 --out x.mttb
 //! tensorcp gen-fmri --preset small --out brain.mtkt [--three-way]
-//! tensorcp decompose --input x.mtkt --rank 5 [--method als|nn|dimtree]
+//! tensorcp decompose --input x.mtkt --rank 5 [--method als|nn]
 //!                    [--iters 50] [--tol 1e-8] [--threads 4]
 //!                    [--model-out model.mtkm]
 //! tensorcp decompose --input x.mttb --ooc [--budget-mb N] [--tile AxBxC]
@@ -27,9 +27,11 @@
 //! `tune` measures this host (stream bandwidth, per-tier GEMM and
 //! Hadamard throughput, reduction efficiency), fits the machine-model
 //! coefficients, and writes them as a `MTTKRP-TUNE v1` profile.
-//! Exporting `MTTKRP_TUNE_PROFILE=host.tune` makes every later
-//! `decompose` pick its per-mode MTTKRP algorithm with the calibrated
-//! model instead of the paper's fixed heuristic.
+//! Exporting `MTTKRP_TUNE_PROFILE=host.tune` makes `decompose --method
+//! als` pick each mode's MTTKRP algorithm with the calibrated model
+//! instead of the paper's fixed heuristic wherever it runs per-mode
+//! kernels (out-of-core and order-2 tensors); an in-core order ≥ 3
+//! tensor runs the two-group sweep.
 //!
 //! Every command also accepts `--trace-out FILE` (record `mttkrp_obs`
 //! spans across the run — plan construction, per-mode MTTKRP phases,
@@ -39,7 +41,8 @@
 //! `decompose --perf-report FILE` additionally prices the sweep's
 //! per-mode MTTKRP breakdowns against the loaded tuning profile's
 //! bandwidth/compute roofs and writes the `mttkrp-perf-v1` report
-//! (requires `MTTKRP_TUNE_PROFILE`; in-core `als`/`nn` only).
+//! (requires `MTTKRP_TUNE_PROFILE`; in-core `nn`, or `als` on an
+//! order-2 tensor: the per-mode sweeps).
 
 use std::collections::HashMap;
 use std::process::exit;
@@ -49,9 +52,7 @@ use mttkrp_core::{
     mttkrp_1step_timed, mttkrp_2step_timed, mttkrp_explicit_timed, AlgoChoice, MttkrpPlan,
     TwoStepSide,
 };
-use mttkrp_cpals::{
-    cp_als, cp_als_dimtree, cp_als_nn, CpAlsOptions, CpAlsReport, KruskalModel, MttkrpStrategy,
-};
+use mttkrp_cpals::{cp_als, cp_als_nn, CpAlsOptions, CpAlsReport, KruskalModel, MttkrpStrategy};
 use mttkrp_ooc::{OocTensor, TileStore, TiledLayout};
 use mttkrp_parallel::ThreadPool;
 use mttkrp_rng::Rng64;
@@ -152,11 +153,11 @@ fn usage() {
                       [--ooc [--budget-mb N] [--tile AxBxC]]  (write a tile store)\n\
            gen-fmri   [--preset small|medium|paper] [--three-way] [--dtype f32|f64]\n\
                       --out FILE\n\
-           decompose  --input FILE --rank R [--method als|nn|dimtree]\n\
+           decompose  --input FILE --rank R [--method als|nn]\n\
                       [--iters N] [--tol T] [--threads T] [--model-out FILE]\n\
                       [--dtype f32|f64] (default: the file's stored dtype)\n\
                       [--perf-report FILE] (roofline attribution of the sweep;\n\
-                      needs a tuning profile, in-core als|nn only)\n\
+                      needs a tuning profile; in-core nn, or als on order 2)\n\
                       [--ooc [--budget-mb N] [--tile AxBxC]]  (stream from disk)\n\
            info       --input FILE   (dense .mtkt or tile-store .mttb)\n\
            profile    --input FILE [--rank R] [--threads T] [--dtype f32|f64]\n\
@@ -512,7 +513,7 @@ fn cmd_decompose(opts: &HashMap<String, String>) -> CliResult {
     if dtype == Dtype::F32 {
         if method != "als" {
             return Err(format!(
-                "--dtype f32 supports --method als only (got {method:?}; nn/dimtree are f64 paths)"
+                "--dtype f32 supports --method als only (got {method:?}; nn is an f64 path)"
             ));
         }
         // The whole sweep runs at f32 storage (f64 accumulators inside
@@ -538,8 +539,7 @@ fn cmd_decompose(opts: &HashMap<String, String>) -> CliResult {
     let (model, report): (KruskalModel, CpAlsReport) = match method {
         "als" => cp_als(&pool, &x, init, &cp_opts),
         "nn" => cp_als_nn(&pool, &x, init, &cp_opts),
-        "dimtree" => cp_als_dimtree(&pool, &x, init, &cp_opts),
-        other => return Err(format!("unknown method {other:?} (als|nn|dimtree)")),
+        other => return Err(format!("unknown method {other:?} (als|nn)")),
     };
     let elapsed = t0.elapsed().as_secs_f64();
     print_decompose_report(method, rank, &model, &report, elapsed);
@@ -570,10 +570,14 @@ fn perf_report_out<S: Scalar>(
     choice: AlgoChoice,
     report: &CpAlsReport,
 ) -> CliResult {
-    if report.mode_breakdowns.is_empty() {
-        // The dimension-tree driver shares group GEMMs across modes, so
-        // there is no honest per-mode attribution to report.
-        eprintln!("note: --perf-report needs per-mode breakdowns (--method als|nn); skipping it");
+    if choice == AlgoChoice::Tuned && dims.len() >= 3 {
+        // `als` on an order >= 3 tensor ran the two-group sweep
+        // (`MttkrpPlanSet::for_sweep`), whose partial GEMMs serve every
+        // mode; the roofline bridge prices per-mode kernels.
+        eprintln!(
+            "note: --perf-report prices per-mode kernels, and this sweep shared two partial \
+             GEMMs across the modes; skipping it (`mttkrp-harness --perf-report` prices the kernels)"
+        );
         return Ok(());
     }
     let Some(profile) = mttkrp_tune::installed_profile() else {

@@ -13,7 +13,6 @@
 //! mttkrp-harness --fig8            # breakdowns on the fMRI tensors
 //! mttkrp-harness --sparse          # sparse CSF MTTKRP vs density sweep
 //! mttkrp-harness --ooc             # out-of-core streaming vs in-core
-//! mttkrp-harness --ext-dimtree     # future-work: dimension-tree CP-ALS
 //! mttkrp-harness --tune            # calibrate + prediction-accuracy sweep
 //! mttkrp-harness --all             # everything
 //! mttkrp-harness --all --scale medium   # small (default) | medium | paper
@@ -50,7 +49,6 @@
 //! against the tuning profile's roofs) and writes the
 //! `mttkrp-perf-v1` JSON envelope.
 
-mod extension;
 mod fig4;
 mod fig5;
 mod fig6;
@@ -221,10 +219,6 @@ fn main() {
         ooc::run(scale, budget_mb.map(|mb| mb << 20), tile.clone());
         ran = true;
     }
-    if want("--ext-dimtree") {
-        extension::run(scale);
-        ran = true;
-    }
     if want("--tune") {
         tune::run(scale, profile_path, profile_out, choices_out);
         ran = true;
@@ -258,7 +252,7 @@ fn main() {
 fn print_help() {
     println!(
         "usage: mttkrp-harness [--fig4] [--fig5] [--fig6] [--fig7] [--fig8] \
-         [--sparse] [--ooc] [--ext-dimtree] [--tune] [--all] \
+         [--sparse] [--ooc] [--tune] [--all] \
          [--scale small|medium|paper] \
          [--kernel auto|scalar|avx2|avx512|neon] [--dtype f32|f64] \
          [--budget-mb N] [--tile AxBxC] \

@@ -252,15 +252,15 @@ fn ooc_gen_info_decompose_round_trip() {
 }
 
 #[test]
-fn nn_and_dimtree_methods_run() {
+fn nn_method_runs_and_dimtree_is_gone() {
     let tensor_path = tmp("m2.mtkt");
     tensorcp()
         .args(["gen", "--dims", "10x8x6", "--rank", "2", "--out"])
         .arg(&tensor_path)
         .output()
         .unwrap();
-    for method in ["nn", "dimtree"] {
-        let out = tensorcp()
+    let decompose = |method: &str| {
+        tensorcp()
             .args([
                 "decompose",
                 "--rank",
@@ -273,13 +273,18 @@ fn nn_and_dimtree_methods_run() {
             ])
             .arg(&tensor_path)
             .output()
-            .unwrap();
-        assert!(
-            out.status.success(),
-            "{method} failed: {}",
-            String::from_utf8_lossy(&out.stderr)
-        );
-        assert!(String::from_utf8_lossy(&out.stdout).contains("final fit"));
-    }
+            .unwrap()
+    };
+    let out = decompose("nn");
+    assert!(
+        out.status.success(),
+        "nn failed: {}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    assert!(String::from_utf8_lossy(&out.stdout).contains("final fit"));
+    // `als` runs the two-group sweep the separate `dimtree` method ran.
+    let out = decompose("dimtree");
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("unknown method"));
     std::fs::remove_file(&tensor_path).ok();
 }

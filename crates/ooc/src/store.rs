@@ -120,7 +120,15 @@ impl TileStore {
         if ndims == 0 {
             return Err(bad("tile store with zero modes"));
         }
-        let mut dims = Vec::with_capacity(ndims);
+        // Nothing is allocated until the header is known to fit the
+        // file: a forged mode or tile count must not size a vector.
+        let fits = |ntiles| header_len(ndims, ntiles).is_some_and(|h| h <= file_len);
+        if !fits(0) {
+            return Err(bad(format!(
+                "tile store header of {ndims} modes exceeds the {file_len}-byte file"
+            )));
+        }
+        let mut dims = Vec::new();
         for _ in 0..ndims {
             let d = read_u64(&mut r)? as usize;
             if d == 0 {
@@ -128,7 +136,7 @@ impl TileStore {
             }
             dims.push(d);
         }
-        let mut tile = Vec::with_capacity(ndims);
+        let mut tile = Vec::new();
         for (n, &d) in dims.iter().enumerate() {
             let t = read_u64(&mut r)? as usize;
             if t == 0 || t > d {
@@ -146,6 +154,12 @@ impl TileStore {
             .try_fold(1usize, |acc, (&d, &t)| acc.checked_mul(d.div_ceil(t)))
             .ok_or_else(|| bad("tile count overflows"))?;
         let layout = TiledLayout::new(&dims, &tile);
+        if !fits(layout.ntiles()) {
+            return Err(bad(format!(
+                "tile store header of {} tiles exceeds the {file_len}-byte file",
+                layout.ntiles()
+            )));
+        }
         let ntiles = read_u64(&mut r)? as usize;
         if ntiles != layout.ntiles() {
             return Err(bad(format!(

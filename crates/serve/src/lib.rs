@@ -20,5 +20,8 @@ pub mod protocol;
 pub mod server;
 
 pub use admission::{choose_team, Admission, AdmissionConfig, Offer};
-pub use protocol::{FactorPayload, Format, JobEvent, JobRequest, JobSpec, MAX_RANK, PROTOCOL};
+pub use protocol::{
+    FactorPayload, Format, JobEvent, JobRequest, JobSpec, MAX_ITERS, MAX_RANK, MAX_THREADS,
+    PROTOCOL,
+};
 pub use server::{Bind, Server, ServerConfig, MAX_CONNS, MAX_FACTOR_ELEMS, MAX_LINE_BYTES};

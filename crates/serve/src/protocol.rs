@@ -21,6 +21,16 @@ pub const PROTOCOL: &str = "mttkrp-jobs-v1";
 /// request more memory than the host has and abort the daemon.
 pub const MAX_RANK: usize = 4096;
 
+/// Largest `spec.max_iters` a submit may ask for: with `tol = 0` a job
+/// runs every sweep it asks for, so an unbounded count could hold an
+/// admission slot indefinitely. (A client can still cancel sooner.)
+pub const MAX_ITERS: usize = 1_000_000;
+
+/// Largest `spec.threads` a submit may name. The daemon caps the team
+/// at its `--max-team` either way; larger values are refused as
+/// malformed rather than silently clamped.
+pub const MAX_THREADS: usize = 1024;
+
 /// 2^53: JSON numbers are read as `f64`, which holds every integer
 /// below this exactly and rounds some above it, so integer fields at or
 /// above it are refused rather than silently changed.
@@ -117,6 +127,18 @@ fn opt_usize(v: &JsonValue, key: &str, default: usize) -> Result<usize, String> 
     }
 }
 
+fn opt_usize_at_most(
+    v: &JsonValue,
+    key: &str,
+    default: usize,
+    max: usize,
+) -> Result<usize, String> {
+    match opt_usize(v, key, default)? {
+        x if x > max => Err(format!("spec.{key} must be at most {max}, got {x}")),
+        x => Ok(x),
+    }
+}
+
 fn opt_bool(v: &JsonValue, key: &str, default: bool) -> bool {
     v.get(key).and_then(|x| x.as_bool()).unwrap_or(default)
 }
@@ -146,9 +168,9 @@ impl JobRequest {
                         path: need_str(spec, "path")?,
                         format: Format::parse(&need_str(spec, "format")?)?,
                         rank,
-                        max_iters: opt_usize(spec, "max_iters", 25)?,
+                        max_iters: opt_usize_at_most(spec, "max_iters", 25, MAX_ITERS)?,
                         tol: opt_f64(spec, "tol").unwrap_or(0.0),
-                        threads: opt_usize(spec, "threads", 0)?,
+                        threads: opt_usize_at_most(spec, "threads", 0, MAX_THREADS)?,
                         seed: opt_usize(spec, "seed", 42)? as u64,
                         stream_fits: opt_bool(spec, "stream_fits", true),
                         return_factors: opt_bool(spec, "return_factors", false),
@@ -581,6 +603,18 @@ mod tests {
         assert!(e.contains("2^53"), "{e}");
         assert!(submit_with("seed", "9007199254740992").is_err());
         assert!(submit_with("max_iters", "1e300").is_err());
+    }
+
+    #[test]
+    fn max_iters_and_threads_above_their_bounds_are_rejected() {
+        assert!(submit_with("max_iters", &MAX_ITERS.to_string()).is_ok());
+        let e = submit_with("max_iters", &(MAX_ITERS + 1).to_string()).unwrap_err();
+        assert!(e.contains("spec.max_iters"), "{e}");
+        // 2^52 sweeps at tol = 0 would hold an admission slot for good.
+        assert!(submit_with("max_iters", "4503599627370496").is_err());
+        assert!(submit_with("threads", &MAX_THREADS.to_string()).is_ok());
+        let e = submit_with("threads", &(MAX_THREADS + 1).to_string()).unwrap_err();
+        assert!(e.contains("spec.threads"), "{e}");
     }
 
     #[test]

@@ -104,12 +104,16 @@ impl ServerConfig {
 type SharedWriter = Arc<Mutex<Box<dyn Write + Send>>>;
 
 fn emit(w: &SharedWriter, ev: &JobEvent) {
+    write_event(&mut **w.lock().expect("event writer poisoned"), ev);
+}
+
+/// [`emit`] into an already locked writer.
+fn write_event(w: &mut dyn Write, ev: &JobEvent) {
     let mut line = ev.to_json();
     line.push('\n');
-    let mut g = w.lock().unwrap();
     // A vanished client is not an error worth crashing a driver over.
-    let _ = g.write_all(line.as_bytes());
-    let _ = g.flush();
+    let _ = w.write_all(line.as_bytes());
+    let _ = w.flush();
 }
 
 /// A submitted job: spec plus the plumbing its driver needs.
@@ -424,16 +428,21 @@ fn submit_job(shared: &Arc<Shared>, id: String, spec: JobSpec, writer: &SharedWr
         cancel,
         writer: writer.clone(),
     };
+    // Hold this connection's writer across the offer: a driver can pop
+    // a queued job at once, and none of its events may overtake
+    // `accepted`.
+    let mut out = writer.lock().expect("event writer poisoned");
     match shared.admission.offer(job) {
         Offer::Run(job) => {
-            emit(writer, &JobEvent::Accepted { id, queue_depth: 0 });
+            write_event(&mut **out, &JobEvent::Accepted { id, queue_depth: 0 });
+            drop(out);
             // The offer already claimed an active slot; the driver
             // owns it until `finish`.
             spawn_driver(shared, job);
         }
         Offer::Queued(depth) => {
-            emit(
-                writer,
+            write_event(
+                &mut **out,
                 &JobEvent::Accepted {
                     id,
                     queue_depth: depth,
@@ -443,8 +452,8 @@ fn submit_job(shared: &Arc<Shared>, id: String, spec: JobSpec, writer: &SharedWr
         Offer::Rejected(job) => {
             mttkrp_obs::counter!("serve.jobs_rejected").incr();
             shared.cancels.lock().unwrap().remove(&job.id);
-            emit(
-                writer,
+            write_event(
+                &mut **out,
                 &JobEvent::Rejected {
                     id: job.id,
                     code: 429,

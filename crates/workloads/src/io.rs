@@ -164,6 +164,18 @@ fn check_magic(r: &mut impl Read, magic: &[u8; 4], what: &str) -> io::Result<()>
     Ok(())
 }
 
+/// Reject a header whose `ndims` mode words (8 bytes each, after
+/// `fixed` bytes) cannot fit the input, before anything is sized by
+/// `ndims`: a forged count must not allocate.
+fn check_header_fits(input_len: u64, fixed: u64, ndims: usize, what: &str) -> io::Result<()> {
+    if fixed + 8 * ndims as u64 > input_len {
+        return Err(bad(&format!(
+            "{what} header of {ndims} modes exceeds the {input_len}-byte input"
+        )));
+    }
+    Ok(())
+}
+
 /// Validate the declared total input length against the byte count the
 /// parsed header implies — called before any payload is read.
 fn check_total_len(input_len: u64, expected: u64, what: &str) -> io::Result<()> {
@@ -239,7 +251,8 @@ pub fn read_tensor_from<S: Scalar>(
     if ndims == 0 {
         return Err(bad("tensor with zero modes"));
     }
-    let mut dims = Vec::with_capacity(ndims);
+    check_header_fits(input_len, header + 4, ndims, "tensor")?;
+    let mut dims = Vec::new();
     for _ in 0..ndims {
         let d = get_u64_le(r)? as usize;
         if d == 0 {
@@ -322,7 +335,8 @@ pub fn read_model_from(r: &mut impl Read, input_len: u64) -> io::Result<StoredMo
     if ndims == 0 || rank == 0 {
         return Err(bad("model with zero modes or zero rank"));
     }
-    let mut dims = Vec::with_capacity(ndims);
+    check_header_fits(input_len, 16, ndims, "model")?;
+    let mut dims = Vec::new();
     for _ in 0..ndims {
         let d = get_u64_le(r)? as usize;
         if d == 0 {
@@ -343,7 +357,7 @@ pub fn read_model_from(r: &mut impl Read, input_len: u64) -> io::Result<StoredMo
         .ok_or_else(|| bad("model payload size overflows"))?;
     check_total_len(input_len, expected, "model")?;
     let lambda = get_vec(r, rank)?;
-    let mut factors = Vec::with_capacity(ndims);
+    let mut factors = Vec::new();
     for &d in &dims {
         factors.push(get_vec(r, d * rank)?);
     }
@@ -418,7 +432,8 @@ pub fn read_sparse_from(r: &mut impl Read, input_len: u64) -> io::Result<CooTens
         return Err(bad("sparse tensor needs at least two modes"));
     }
     let nnz = get_u64_le(r)? as usize;
-    let mut dims = Vec::with_capacity(ndims);
+    check_header_fits(input_len, 20, ndims, "sparse tensor")?;
+    let mut dims = Vec::new();
     for _ in 0..ndims {
         let d = get_u64_le(r)? as usize;
         if d == 0 {

@@ -3,17 +3,17 @@
 //!
 //! The paper (§2.2) points out that gradient methods are bottlenecked
 //! by the same MTTKRP kernel as ALS; here all `N` MTTKRPs per gradient
-//! evaluation are computed from two shared partial GEMMs
-//! (`mttkrp_all_modes`). Plain gradient descent with backtracking line
-//! search — not competitive with ALS, but a faithful skeleton for
-//! CP-OPT/L-BFGS-style optimizers.
+//! evaluation are computed from two shared partial GEMMs (the
+//! two-group `DimTreePlan` behind `plan_sweep`). Plain gradient descent
+//! with backtracking line search — not competitive with ALS, but a
+//! faithful skeleton for CP-OPT/L-BFGS-style optimizers.
 //!
 //! ```text
 //! cargo run --release --example cp_opt
 //! ```
 
 use mttkrp_repro::cpals::{cp_gradient, cp_gradient_planned, KruskalModel};
-use mttkrp_repro::mttkrp::AllModesPlan;
+use mttkrp_repro::mttkrp::{AlgoChoice, MttkrpBackend};
 use mttkrp_repro::parallel::ThreadPool;
 
 fn main() {
@@ -31,10 +31,10 @@ fn main() {
         1.0 - (2.0 * f / norm_x_sq).sqrt()
     );
 
-    // The optimizer loop reuses one all-modes plan and one set of
+    // The optimizer loop reuses one set of sweep plans and one set of
     // gradient buffers across every evaluation — steady-state gradient
     // descent allocates nothing MTTKRP-sized.
-    let mut plan = AllModesPlan::new(&dims, rank);
+    let mut plan = x.plan_sweep(&pool, rank, Some(AlgoChoice::Heuristic));
     let mut g_new: Vec<Vec<f64>> = dims.iter().map(|&d| vec![0.0; d * rank]).collect();
     for iter in 1..=200 {
         // Candidate update with backtracking on the objective.

@@ -7,15 +7,14 @@
 //! covers the Gram/SYRK accumulators and the `sym_pinv` scratch that
 //! used to heap-allocate on every call.
 //!
-//! Single-test binary: the counting-allocator counters are process
-//! globals, so concurrent libtest threads would cross-contaminate a
-//! second measured window. The per-thread harness is shared with the
-//! plan/sparse twins; see `tests/support/counting_alloc.rs`.
+//! The per-thread counting harness is shared with the plan/sparse
+//! twins; see `tests/support/counting_alloc.rs`.
 
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;
 
 use counting_alloc::{counted, CountingAlloc};
+use mttkrp_repro::blas::Scalar;
 use mttkrp_repro::cpals::{CpAlsOptions, CpAlsSweep, KruskalModel, MttkrpStrategy};
 use mttkrp_repro::parallel::ThreadPool;
 use mttkrp_repro::rng::Rng64;
@@ -24,40 +23,58 @@ use mttkrp_repro::tensor::DenseTensor;
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
 
+/// Warm one sweep, then require two more to allocate nothing.
+fn assert_steady_state_sweeps_do_not_allocate<S: Scalar>(
+    dims: &[usize],
+    strategy: MttkrpStrategy,
+    seed: u64,
+) {
+    let mut rng = Rng64::seed_from_u64(seed);
+    let total: usize = dims.iter().product();
+    let data = (0..total)
+        .map(|_| S::from_f64(rng.next_f64() - 0.5))
+        .collect();
+    let x = DenseTensor::<S>::from_vec(dims, data);
+    let pool = ThreadPool::new(1);
+    let opts = CpAlsOptions {
+        max_iters: 10,
+        tol: 0.0,
+        strategy,
+    };
+    let mut sweep = CpAlsSweep::new(&pool, &x, KruskalModel::random(dims, 5, 77), &opts);
+    // Warm up: the first iteration grows the thread-local GEMM pack
+    // and SYRK accumulator buffers and the KRP cursor state.
+    let (warm_fit, _) = sweep.sweep(&pool, &x);
+    assert!(warm_fit.is_finite());
+    let (calls, bytes) = counted(|| {
+        let (fit1, _) = sweep.sweep(&pool, &x);
+        let (fit2, _) = sweep.sweep(&pool, &x);
+        // 1e-9 in f64; the f32 sweep's own rounding is far coarser.
+        let slack = f64::max(1e-9, 1e3 * S::EPSILON.to_f64());
+        assert!(fit2 >= fit1 - slack, "ALS fit regressed: {fit1} -> {fit2}");
+    });
+    assert_eq!(
+        (calls, bytes),
+        (0, 0),
+        "steady-state cp_als iteration allocated: {} {dims:?} {strategy:?}",
+        S::DTYPE
+    );
+}
+
+/// `Auto` runs the two-group sweep on these shapes (`[30, 24, 20]`'s
+/// partials take the packed GEMM path), `OneStep`/`TwoStep` the
+/// per-mode plans; the f32 sweep also runs the f32 solve path.
 #[test]
 fn steady_state_cp_als_iteration_does_not_allocate() {
-    let dims = [8usize, 6, 5, 4];
-    let c = 5;
-    let mut rng = Rng64::seed_from_u64(0xA110_C002);
-    let total: usize = dims.iter().product();
-    let x = DenseTensor::from_vec(&dims, (0..total).map(|_| rng.next_f64() - 0.5).collect());
-    let pool = ThreadPool::new(1);
-
     for strategy in [
         MttkrpStrategy::Auto,
         MttkrpStrategy::OneStep,
         MttkrpStrategy::TwoStep,
     ] {
-        let init = KruskalModel::random(&dims, c, 77);
-        let opts = CpAlsOptions {
-            max_iters: 10,
-            tol: 0.0,
-            strategy,
-        };
-        let mut sweep = CpAlsSweep::new(&pool, &x, init, &opts);
-        // Warm up: the first iteration grows the thread-local GEMM pack
-        // and SYRK accumulator buffers and the KRP cursor state.
-        let (warm_fit, _) = sweep.sweep(&pool, &x);
-        assert!(warm_fit.is_finite());
-        let (calls, bytes) = counted(|| {
-            let (fit1, _) = sweep.sweep(&pool, &x);
-            let (fit2, _) = sweep.sweep(&pool, &x);
-            assert!(fit2 >= fit1 - 1e-9, "ALS fit regressed: {fit1} -> {fit2}");
-        });
-        assert_eq!(
-            (calls, bytes),
-            (0, 0),
-            "steady-state cp_als iteration allocated: strategy={strategy:?}"
-        );
+        assert_steady_state_sweeps_do_not_allocate::<f64>(&[8, 6, 5, 4], strategy, 0xA110_C002);
+    }
+    for dims in [&[8usize, 6, 5, 4][..], &[30, 24, 20]] {
+        assert_steady_state_sweeps_do_not_allocate::<f64>(dims, MttkrpStrategy::Auto, 3);
+        assert_steady_state_sweeps_do_not_allocate::<f32>(dims, MttkrpStrategy::Auto, 3);
     }
 }

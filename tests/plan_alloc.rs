@@ -14,8 +14,9 @@
 mod counting_alloc;
 
 use counting_alloc::{counted, CountingAlloc};
+use mttkrp_repro::blas::Scalar;
 use mttkrp_repro::blas::{Layout, MatRef};
-use mttkrp_repro::mttkrp::{mttkrp_auto, AlgoChoice, MttkrpPlan, TwoStepSide};
+use mttkrp_repro::mttkrp::{mttkrp_auto, AlgoChoice, DimTreePlan, MttkrpPlan, TwoStepSide};
 use mttkrp_repro::parallel::ThreadPool;
 use mttkrp_repro::rng::Rng64;
 use mttkrp_repro::tensor::DenseTensor;
@@ -121,4 +122,48 @@ fn steady_state_f32_plan_execution_does_not_allocate() {
             );
         }
     }
+}
+
+/// The two-group plan, at both precisions: once warm, an in-sweep pass
+/// over every mode (group KRPs, both partial GEMMs, every multi-TTV)
+/// plus a refreshing `execute` allocates nothing. `[30, 24, 20]` has a
+/// one-mode right group and partials on the packed GEMM path.
+fn two_group_steady_state_does_not_allocate<S: Scalar>() {
+    let mut rng = Rng64::seed_from_u64(0xA110_C0D7);
+    let mut rand = |len: usize| -> Vec<S> {
+        (0..len)
+            .map(|_| S::from_f64(rng.next_f64() - 0.5))
+            .collect()
+    };
+    let pool = ThreadPool::new(1);
+    let c = 5;
+    for dims in [vec![30usize, 24, 20], vec![8, 6, 5, 4], vec![5, 4, 3, 2, 3]] {
+        let x = DenseTensor::<S>::from_vec(&dims, rand(dims.iter().product()));
+        let factors: Vec<Vec<S>> = dims.iter().map(|&d| rand(d * c)).collect();
+        let frefs: Vec<MatRef<S>> = factors
+            .iter()
+            .zip(&dims)
+            .map(|(f, &d)| MatRef::from_slice(f, d, c, Layout::RowMajor))
+            .collect();
+        let mut outs: Vec<Vec<S>> = dims.iter().map(|&d| vec![S::ZERO; d * c]).collect();
+        let mut plan = DimTreePlan::<S>::new(&pool, &dims, c);
+        let mut sweep = || {
+            for (n, out) in outs.iter_mut().enumerate() {
+                plan.execute_in_sweep(&pool, &x, &frefs, n, out);
+            }
+            plan.execute(&pool, &x, &frefs, 0, &mut outs[0]);
+        };
+        sweep(); // warm-up: GEMM pack buffers, KRP cursor state
+        let (calls, bytes) = counted(|| {
+            sweep();
+            sweep();
+        });
+        assert_eq!((calls, bytes), (0, 0), "{} dims={dims:?}", S::DTYPE);
+    }
+}
+
+#[test]
+fn steady_state_two_group_execution_does_not_allocate() {
+    two_group_steady_state_does_not_allocate::<f64>();
+    two_group_steady_state_does_not_allocate::<f32>();
 }

@@ -2,9 +2,9 @@
 //! concurrent mixed-format jobs finish with *exactly* the fits a direct
 //! in-process CP-ALS run produces, cancellation hands the freed slot to
 //! a queued job, a full admission queue rejects with 429-style
-//! backpressure, a hostile request line or tensor file is refused
-//! without harming other tenants, and connections past the cap are
-//! turned away with 503 until one closes.
+//! backpressure, a hostile request line or tensor file (a forged
+//! header included) is refused without harming other tenants, and
+//! connections past the cap are turned away with 503 until one closes.
 #![cfg(unix)]
 
 use std::io::{BufRead, BufReader, Write};
@@ -456,24 +456,20 @@ fn hostile_nesting_is_rejected_and_other_tenants_are_unharmed() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
-/// Sparse files whose declared dims make the factor matrices impossible
-/// with two nonzeros: `[2^32, 4]` used to abort the daemon on a 34 GB
-/// factor allocation, and `[2^60, 4]` used to panic its driver
-/// ("capacity overflow") and leak the admission slot. Both jobs must end
-/// with `error`; with `max_active = 1`, a job on another connection
-/// must still start, reproduce the in-process fit, and leave no slot
-/// behind.
-#[test]
-fn huge_sparse_dims_get_error_and_release_the_slot() {
-    let dir = fresh_dir("huge_dims");
-    let x = write_workloads(&dir);
-    let want = reference_fits(&x, &DIMS, 23);
-    for (file, d0) in [("huge32.mtks", 1usize << 32), ("huge60.mtks", 1usize << 60)] {
-        let coo = CooTensor::from_entries(&[d0, 4], vec![0, 0, d0 - 1, 3], vec![1.0, 2.0]);
-        write_sparse(dir.join(file), &coo).expect("write huge sparse");
-    }
+/// With `max_active = 1`, submit each hostile `(id, format, file)` job
+/// in `dir` on one connection: each must be accepted and end with an
+/// `error` whose reason contains `why`. A dense job on another
+/// connection must then start, reproduce the in-process fit bit for
+/// bit, and leave no admission slot behind.
+fn hostile_files_error_and_spare_other_tenants(
+    dir: &Path,
+    x: &DenseTensor<f64>,
+    jobs: &[(&str, Format, &str)],
+    why: &str,
+) {
+    let want = reference_fits(x, &DIMS, 23);
     let (mut server, sock) = start(
-        &dir,
+        dir,
         AdmissionConfig {
             max_active: 1,
             queue_cap: 1,
@@ -481,17 +477,17 @@ fn huge_sparse_dims_get_error_and_release_the_slot() {
     );
 
     let mut hostile = Client::connect(&sock);
-    for (id, file) in [("h32", "huge32.mtks"), ("h60", "huge60.mtks")] {
+    for &(id, format, file) in jobs {
         hostile.send(&JobRequest::Submit {
             id: id.into(),
-            spec: spec(&dir, file, Format::Sparse, ITERS, 1),
+            spec: spec(dir, file, format, ITERS, 1),
         });
         loop {
             match hostile.next_event() {
                 JobEvent::Accepted { id: eid, .. } => assert_eq!(eid, id),
                 JobEvent::Error { id: eid, reason } => {
                     assert_eq!(eid, id);
-                    assert!(reason.contains("exceed"), "{id}: {reason}");
+                    assert!(reason.contains(why), "{id}: {reason}");
                     break;
                 }
                 other => panic!("{id}: unexpected event {other:?}"),
@@ -503,7 +499,7 @@ fn huge_sparse_dims_get_error_and_release_the_slot() {
     let fits = run_to_done(
         &mut tenant,
         "after",
-        spec(&dir, "x.mtkt", Format::Dense, ITERS, 23),
+        spec(dir, "x.mtkt", Format::Dense, ITERS, 23),
     );
     assert_eq!(
         fits.last().unwrap().to_bits(),
@@ -525,7 +521,51 @@ fn huge_sparse_dims_get_error_and_release_the_slot() {
     }
     assert!(idle, "an admission slot leaked");
     server.stop();
-    std::fs::remove_dir_all(&dir).ok();
+    std::fs::remove_dir_all(dir).ok();
+}
+
+/// Sparse files whose declared dims make the factor matrices impossible
+/// with two nonzeros: `[2^32, 4]` used to abort the daemon on a 34 GB
+/// factor allocation, and `[2^60, 4]` used to panic its driver
+/// ("capacity overflow") and leak the admission slot.
+#[test]
+fn huge_sparse_dims_get_error_and_release_the_slot() {
+    let dir = fresh_dir("huge_dims");
+    let x = write_workloads(&dir);
+    for (file, d0) in [("huge32.mtks", 1usize << 32), ("huge60.mtks", 1usize << 60)] {
+        let coo = CooTensor::from_entries(&[d0, 4], vec![0, 0, d0 - 1, 3], vec![1.0, 2.0]);
+        write_sparse(dir.join(file), &coo).expect("write huge sparse");
+    }
+    let jobs = [
+        ("h32", Format::Sparse, "huge32.mtks"),
+        ("h60", Format::Sparse, "huge60.mtks"),
+    ];
+    hostile_files_error_and_spare_other_tenants(&dir, &x, &jobs, "exceed");
+}
+
+/// 20-byte MTKT, MTKS and MTTB files whose mode count is `u32::MAX`
+/// used to abort the daemon on a 32 GiB allocation of their dims.
+#[test]
+fn forged_mode_counts_get_error_and_other_tenants_are_unharmed() {
+    let dir = fresh_dir("forged_modes");
+    let x = write_workloads(&dir);
+    for (file, magic) in [
+        ("f.mtkt", b"MTKT"),
+        ("f.mtks", b"MTKS"),
+        ("f.mttb", b"MTTB"),
+    ] {
+        let mut bytes = magic.to_vec();
+        bytes.extend_from_slice(&1u32.to_le_bytes());
+        bytes.extend_from_slice(&u32::MAX.to_le_bytes());
+        bytes.resize(20, 0);
+        std::fs::write(dir.join(file), bytes).expect("write forged file");
+    }
+    let jobs = [
+        ("fd", Format::Dense, "f.mtkt"),
+        ("fs", Format::Sparse, "f.mtks"),
+        ("fo", Format::Ooc, "f.mttb"),
+    ];
+    hostile_files_error_and_spare_other_tenants(&dir, &x, &jobs, "modes exceeds");
 }
 
 /// `MAX_CONNS` idle connections fill the daemon: the next one gets a
