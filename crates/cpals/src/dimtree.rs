@@ -1,260 +1,29 @@
-//! Multi-mode MTTKRP reuse across one CP-ALS iteration — the paper's
-//! future-work item (conclusion; Phan et al. §III.C).
+//! Tests of the two-group (dimension-tree) CP-ALS sweep as [`cp_als`]
+//! runs it: [`MttkrpStrategy::Auto`] on a dense tensor of order ≥ 3
+//! computes the same ALS iterates as the per-mode
+//! [`MttkrpStrategy::OneStep`] sweep, and converges on planted models.
 //!
-//! The modes are split into a left group `{0, …, s−1}` and a right group
-//! `{s, …, N−1}`. One *partial MTTKRP* GEMM per group replaces the `N`
-//! independent MTTKRPs of a standard iteration:
-//!
-//! * `R = X(0:s−1) · (U_{N−1} ⊙ ⋯ ⊙ U_s)` — computed against the old
-//!   right factors; every left-group `M_n` is then a cheap multi-TTV of
-//!   `R` (per-column TTV chain over the other left modes).
-//! * `L = X(0:s−1)ᵀ · (U_{s−1} ⊙ ⋯ ⊙ U_0)` — computed against the
-//!   updated left factors; every right-group `M_n` is a multi-TTV of
-//!   `L`.
-//!
-//! ALS order is preserved exactly: partial tensors only involve factors
-//! from the *other* group (old/new as ALS requires), and the in-group
-//! multi-TTVs read the current factor state. The paper predicts (and
-//! the ablation bench confirms) per-iteration savings around 50% for 3-way
-//! and 2× for 4-way tensors, growing with `N`.
+//! [`cp_als`]: crate::als::cp_als
 
-use mttkrp_blas::{par_gemm, Layout, MatMut, MatRef};
-use mttkrp_core::Breakdown;
-use mttkrp_krp::{krp_rows, par_krp};
-use mttkrp_parallel::ThreadPool;
-use mttkrp_tensor::{ops::ttv, DenseTensor};
-
-use crate::als::{solve_factor_update_ws, CpAlsOptions, CpAlsReport, SolveWorkspace};
-use crate::gram::{factor_view, gram};
-use crate::model::KruskalModel;
-
-/// CP-ALS with dimension-tree (two-group) MTTKRP reuse.
-///
-/// Produces the same sequence of iterates as [`crate::cp_als`] (up to
-/// floating-point rounding) at roughly `2/N` of the per-iteration GEMM
-/// flops. The `strategy` field of `opts` is ignored.
-pub fn cp_als_dimtree(
-    pool: &ThreadPool,
-    x: &DenseTensor,
-    init: KruskalModel,
-    opts: &CpAlsOptions,
-) -> (KruskalModel, CpAlsReport) {
-    let dims = x.dims().to_vec();
-    let nmodes = dims.len();
-    assert!(nmodes >= 2, "CP-ALS requires an order >= 2 tensor");
-    let c = init.rank();
-    assert_eq!(init.dims(), &dims[..], "model shape must match tensor");
-
-    // Split point: left group {0..s-1}, right group {s..N-1}.
-    let s = nmodes.div_ceil(2);
-    let left_dims = &dims[..s];
-    let right_dims = &dims[s..];
-    let left_total: usize = left_dims.iter().product();
-    let right_total: usize = right_dims.iter().product();
-
-    let mut model = init;
-    let norm_x = x.norm();
-    let norm_x_sq = norm_x * norm_x;
-    let mut grams: Vec<Vec<f64>> = model
-        .factors
-        .iter()
-        .zip(&dims)
-        .map(|(f, &d)| gram(pool, factor_view(f, d, c)))
-        .collect();
-
-    let mut report = CpAlsReport {
-        iters: 0,
-        fits: Vec::new(),
-        iter_times: Vec::new(),
-        mttkrp_time: 0.0,
-        breakdown: Breakdown::default(),
-        // The group GEMMs are shared across modes, so there is no
-        // honest per-mode attribution here — left empty by design.
-        mode_breakdowns: Vec::new(),
-        converged: false,
-    };
-    let mut prev_fit = f64::NEG_INFINITY;
-
-    // Per-model buffers, allocated once and reused every iteration
-    // (the dimension-tree analogue of the per-mode MttkrpPlan reuse).
-    let mut r_buf = vec![0.0; left_total * c];
-    let mut l_buf = vec![0.0; right_total * c];
-    let mut m_buf = vec![0.0; dims.iter().copied().max().unwrap() * c];
-    let mut kr_buf = vec![0.0; right_total * c];
-    let mut kl_buf = vec![0.0; left_total * c];
-    let mut col_buf = vec![0.0; dims.iter().copied().max().unwrap()];
-    let mut last_mode_m = vec![0.0; dims[nmodes - 1] * c];
-    let mut solve_ws = SolveWorkspace::new(c);
-
-    for _iter in 0..opts.max_iters {
-        let iter_t0 = std::time::Instant::now();
-        let mttkrp_t0 = std::time::Instant::now();
-
-        // ---- Left group: R = X(0:s−1) · KR(old right factors). ----
-        {
-            let refs = model.factor_refs();
-            let kr_inputs: Vec<MatRef> = refs[s..].iter().rev().copied().collect();
-            debug_assert_eq!(krp_rows(&kr_inputs), right_total);
-            par_krp(pool, &kr_inputs, &mut kr_buf);
-            let xv = x.unfold_leading(s - 1); // left_total × right_total, col-major
-            par_gemm(
-                pool,
-                1.0,
-                xv,
-                MatRef::from_slice(&kr_buf, right_total, c, Layout::RowMajor),
-                0.0,
-                MatMut::from_slice(&mut r_buf, left_total, c, Layout::ColMajor),
-            );
-        }
-        for n in 0..s {
-            let rows = dims[n];
-            let m = &mut m_buf[..rows * c];
-            group_mttkrp(&r_buf, left_dims, c, n, 0, &model, m, &mut col_buf);
-            if n == nmodes - 1 {
-                last_mode_m.copy_from_slice(m);
-            }
-            solve_factor_update_ws(&mut solve_ws, m, rows, c, &grams, n, &mut model.factors[n]);
-            model.lambda.fill(1.0);
-            model.normalize_mode(n);
-            grams[n] = gram(pool, factor_view(&model.factors[n], rows, c));
-        }
-
-        // ---- Right group: L = X(0:s−1)ᵀ · KL(new left factors). ----
-        if s < nmodes {
-            let refs = model.factor_refs();
-            let kl_inputs: Vec<MatRef> = refs[..s].iter().rev().copied().collect();
-            debug_assert_eq!(krp_rows(&kl_inputs), left_total);
-            par_krp(pool, &kl_inputs, &mut kl_buf);
-            let xv = x.unfold_leading(s - 1).t(); // right_total × left_total, row-major
-            par_gemm(
-                pool,
-                1.0,
-                xv,
-                MatRef::from_slice(&kl_buf, left_total, c, Layout::RowMajor),
-                0.0,
-                MatMut::from_slice(&mut l_buf, right_total, c, Layout::ColMajor),
-            );
-            for n in s..nmodes {
-                let rows = dims[n];
-                let m = &mut m_buf[..rows * c];
-                group_mttkrp(&l_buf, right_dims, c, n - s, s, &model, m, &mut col_buf);
-                if n == nmodes - 1 {
-                    last_mode_m.copy_from_slice(m);
-                }
-                solve_factor_update_ws(&mut solve_ws, m, rows, c, &grams, n, &mut model.factors[n]);
-                model.lambda.fill(1.0);
-                model.normalize_mode(n);
-                grams[n] = gram(pool, factor_view(&model.factors[n], rows, c));
-            }
-        }
-        report.mttkrp_time += mttkrp_t0.elapsed().as_secs_f64();
-
-        // Fit from the last mode's MTTKRP (same formula as cp_als).
-        let inner: f64 = {
-            let u = &model.factors[nmodes - 1];
-            let mut acc = 0.0;
-            for i in 0..dims[nmodes - 1] {
-                for col in 0..c {
-                    acc += model.lambda[col] * u[i * c + col] * last_mode_m[i * c + col];
-                }
-            }
-            acc
-        };
-        let norm_y_sq = model.norm_sq();
-        let resid_sq = (norm_x_sq - 2.0 * inner + norm_y_sq).max(0.0);
-        let fit = if norm_x > 0.0 {
-            1.0 - resid_sq.sqrt() / norm_x
-        } else {
-            1.0
-        };
-
-        report.iters += 1;
-        report.fits.push(fit);
-        report.iter_times.push(iter_t0.elapsed().as_secs_f64());
-        if (fit - prev_fit).abs() < opts.tol {
-            report.converged = true;
-            break;
-        }
-        prev_fit = fit;
-    }
-
-    (model, report)
-}
-
-/// Multi-TTV: compute the group-local MTTKRP `M_n` from a partial
-/// tensor `partial` of shape `(g_dims…, C)` (column-major over the
-/// trailing `C` mode).
-///
-/// For each component `j`, the contiguous subtensor `partial[.., j]` is
-/// contracted with column `j` of every group factor except local mode
-/// `local_n` (global mode `group_offset + local_n`). Output `m` is
-/// row-major `I_n × C`; `col` is caller-owned scratch of at least the
-/// largest group dimension.
-#[allow(clippy::too_many_arguments)]
-fn group_mttkrp(
-    partial: &[f64],
-    g_dims: &[usize],
-    c: usize,
-    local_n: usize,
-    group_offset: usize,
-    model: &KruskalModel,
-    m: &mut [f64],
-    col: &mut [f64],
-) {
-    let g_total: usize = g_dims.iter().product();
-    let rows = g_dims[local_n];
-    assert_eq!(m.len(), rows * c, "output must be I_n × C");
-    assert_eq!(partial.len(), g_total * c, "partial must be (Π g_dims) × C");
-
-    if g_dims.len() == 1 {
-        // The partial tensor already is the MTTKRP (col-major → row-major).
-        for j in 0..c {
-            for i in 0..rows {
-                m[i * c + j] = partial[i + j * g_total];
-            }
-        }
-        return;
-    }
-
-    for j in 0..c {
-        let mut t = DenseTensor::from_vec(g_dims, partial[j * g_total..(j + 1) * g_total].to_vec());
-        let mut n_pos = local_n;
-        // Contract modes above local_n, highest first (indices of the
-        // remaining modes are unaffected).
-        for k in (n_pos + 1..g_dims.len()).rev() {
-            let f = &model.factors[group_offset + k];
-            let d = t.dims()[k];
-            for (i, slot) in col[..d].iter_mut().enumerate() {
-                *slot = f[i * c + j];
-            }
-            t = ttv(&t, k, &col[..d]);
-        }
-        // Contract modes below local_n, highest first (local_n shifts
-        // down by one per contraction).
-        while n_pos > 0 {
-            let k = n_pos - 1;
-            let f = &model.factors[group_offset + k];
-            let d = t.dims()[k];
-            for (i, slot) in col[..d].iter_mut().enumerate() {
-                *slot = f[i * c + j];
-            }
-            t = ttv(&t, k, &col[..d]);
-            n_pos -= 1;
-        }
-        debug_assert_eq!(t.len(), rows);
-        for (i, &v) in t.data().iter().enumerate() {
-            m[i * c + j] = v;
-        }
-    }
-}
-
-#[cfg(test)]
 mod tests {
-    use super::*;
-    use crate::als::{cp_als, MttkrpStrategy};
+    use crate::als::{cp_als, CpAlsOptions, CpAlsReport, MttkrpStrategy};
+    use crate::model::KruskalModel;
+    use mttkrp_parallel::ThreadPool;
+    use mttkrp_tensor::DenseTensor;
 
     fn planted(dims: &[usize], rank: usize, seed: u64) -> DenseTensor {
         KruskalModel::random(dims, rank, seed).to_dense()
+    }
+
+    /// Whether the per-mode breakdowns show the two-group sweep: a
+    /// partial GEMM in modes 0 and `⌈N/2⌉` only.
+    fn ran_two_group(report: &CpAlsReport) -> bool {
+        let s = report.mode_breakdowns.len().div_ceil(2);
+        report
+            .mode_breakdowns
+            .iter()
+            .enumerate()
+            .all(|(n, bd)| (bd.dgemm > 0.0) == (n == 0 || n == s))
     }
 
     #[test]
@@ -262,13 +31,16 @@ mod tests {
         let dims = [6usize, 5, 4];
         let x = planted(&dims, 2, 17);
         let pool = ThreadPool::new(2);
-        let opts = CpAlsOptions {
+        let opts = |strategy| CpAlsOptions {
             max_iters: 8,
             tol: 0.0,
-            strategy: MttkrpStrategy::Auto,
+            strategy,
         };
-        let (m_std, r_std) = cp_als(&pool, &x, KruskalModel::random(&dims, 2, 5), &opts);
-        let (m_dt, r_dt) = cp_als_dimtree(&pool, &x, KruskalModel::random(&dims, 2, 5), &opts);
+        let init = || KruskalModel::random(&dims, 2, 5);
+        let (m_std, r_std) = cp_als(&pool, &x, init(), &opts(MttkrpStrategy::OneStep));
+        let (m_dt, r_dt) = cp_als(&pool, &x, init(), &opts(MttkrpStrategy::Auto));
+        assert!(!ran_two_group(&r_std) && ran_two_group(&r_dt));
+        assert_eq!(r_std.fits.len(), r_dt.fits.len());
         for (a, b) in r_std.fits.iter().zip(&r_dt.fits) {
             assert!(
                 (a - b).abs() < 1e-8,
@@ -289,13 +61,19 @@ mod tests {
         for dims in [vec![4usize, 3, 3, 4], vec![3, 2, 3, 2, 3]] {
             let x = planted(&dims, 2, 23);
             let pool = ThreadPool::new(2);
-            let opts = CpAlsOptions {
+            let opts = |strategy| CpAlsOptions {
                 max_iters: 6,
                 tol: 0.0,
-                strategy: MttkrpStrategy::Auto,
+                strategy,
             };
-            let (_, r_std) = cp_als(&pool, &x, KruskalModel::random(&dims, 2, 9), &opts);
-            let (_, r_dt) = cp_als_dimtree(&pool, &x, KruskalModel::random(&dims, 2, 9), &opts);
+            let init = || KruskalModel::random(&dims, 2, 9);
+            let (_, r_std) = cp_als(&pool, &x, init(), &opts(MttkrpStrategy::OneStep));
+            let (_, r_dt) = cp_als(&pool, &x, init(), &opts(MttkrpStrategy::Auto));
+            assert!(
+                !ran_two_group(&r_std) && ran_two_group(&r_dt),
+                "dims {dims:?}"
+            );
+            assert_eq!(r_std.fits.len(), r_dt.fits.len());
             for (a, b) in r_std.fits.iter().zip(&r_dt.fits) {
                 assert!(
                     (a - b).abs() < 1e-8,
@@ -307,6 +85,8 @@ mod tests {
         }
     }
 
+    /// Order 2 has no two-group split; `Auto` falls back to the
+    /// per-mode sweep and must still recover the planted model.
     #[test]
     fn recovers_planted_rank_2way() {
         let dims = [8usize, 6];
@@ -317,7 +97,7 @@ mod tests {
             tol: 1e-13,
             strategy: MttkrpStrategy::Auto,
         };
-        let (_, report) = cp_als_dimtree(&pool, &x, KruskalModel::random(&dims, 2, 42), &opts);
+        let (_, report) = cp_als(&pool, &x, KruskalModel::random(&dims, 2, 42), &opts);
         assert!(report.final_fit() > 0.999, "fit = {}", report.final_fit());
     }
 
@@ -331,7 +111,8 @@ mod tests {
             tol: 1e-12,
             strategy: MttkrpStrategy::Auto,
         };
-        let (_, report) = cp_als_dimtree(&pool, &x, KruskalModel::random(&dims, 3, 52), &opts);
+        let (_, report) = cp_als(&pool, &x, KruskalModel::random(&dims, 3, 52), &opts);
+        assert!(ran_two_group(&report));
         assert!(report.final_fit() > 0.99, "fit = {}", report.final_fit());
     }
 }

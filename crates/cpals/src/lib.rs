@@ -44,6 +44,8 @@
 //! ```
 
 pub mod als;
+#[cfg(test)]
+mod dimtree;
 pub mod gradient;
 pub mod gram;
 pub mod model;
