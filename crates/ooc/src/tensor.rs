@@ -123,11 +123,14 @@ impl PrefetchEngine {
                     // Recorded on this thread's own span buffer, so the
                     // trace timeline shows reads running concurrently
                     // with the compute thread's tile spans.
-                    let _span = mttkrp_obs::span!("tile_read", tile = tile);
+                    let span = mttkrp_obs::span!("tile_read", tile = tile);
                     let entries = reader.layout().tile_entries(tile);
                     let v = buf.vec_mut();
                     v.resize(entries, 0.0);
                     let res = reader.read_tile_into(tile, v).map(|()| (tile, buf));
+                    // End the span before the send, so it closes before
+                    // the compute thread's `tile_wait` can return.
+                    drop(span);
                     if resp_tx.send(res).is_err() {
                         break;
                     }

@@ -60,12 +60,21 @@ impl CooTensor {
             }
         }
 
+        let linear = |k: usize| info.linear(&inds[k * nm..(k + 1) * nm]);
+        // Already canonical (every file `write_sparse` writes is):
+        // strictly increasing positions, so keep the input as is.
+        if (1..nnz_in).all(|k| linear(k - 1) < linear(k)) {
+            return CooTensor {
+                dims: dims.to_vec(),
+                inds,
+                vals,
+            };
+        }
+
         // Sort by linear position (the natural linearization order),
         // then merge runs of equal positions by summing.
         let mut perm: Vec<usize> = (0..nnz_in).collect();
-        let lin: Vec<usize> = (0..nnz_in)
-            .map(|k| info.linear(&inds[k * nm..(k + 1) * nm]))
-            .collect();
+        let lin: Vec<usize> = (0..nnz_in).map(linear).collect();
         perm.sort_by_key(|&k| lin[k]);
 
         let mut out_inds = Vec::with_capacity(inds.len());
@@ -201,6 +210,19 @@ mod tests {
         assert_eq!(x.value(1), 7.0);
         assert_eq!(x.index(2), &[1, 1]);
         assert_eq!(x.value(2), 5.0);
+    }
+
+    #[test]
+    fn canonical_input_is_kept_without_a_copy() {
+        let x = CooTensor::from_dense(
+            &DenseTensor::from_vec(&[2, 3], vec![0.0, 1.0, 0.0, 0.0, 2.5, 3.0]),
+            0.0,
+        );
+        let (inds, vals) = (x.indices().to_vec(), x.values().to_vec());
+        let (ip, vp) = (inds.as_ptr(), vals.as_ptr());
+        let y = CooTensor::from_entries(&[2, 3], inds, vals);
+        assert_eq!(y, x);
+        assert_eq!((y.indices().as_ptr(), y.values().as_ptr()), (ip, vp));
     }
 
     #[test]

@@ -459,19 +459,25 @@ pub fn read_sparse_from(r: &mut impl Read, input_len: u64) -> io::Result<CooTens
     let mut inds = vec![0usize; nnz * ndims];
     let mut scratch = [0u8; 8 * CHUNK];
     let mut pos = 0usize;
+    // Mode of the next index word, stepped rather than divided out.
+    let mut m = 0usize;
     while pos < inds.len() {
         let n = (inds.len() - pos).min(CHUNK);
         r.read_exact(&mut scratch[..8 * n])?;
         for (i, slot) in inds[pos..pos + n].iter_mut().enumerate() {
             let word = u64::from_le_bytes(scratch[8 * i..8 * i + 8].try_into().unwrap()) as usize;
-            let (k, m) = ((pos + i) / ndims, (pos + i) % ndims);
             if word >= dims[m] {
                 return Err(bad(&format!(
-                    "entry {k}: index {word} out of bounds for mode {m} ({})",
+                    "entry {}: index {word} out of bounds for mode {m} ({})",
+                    (pos + i) / ndims,
                     dims[m]
                 )));
             }
             *slot = word;
+            m += 1;
+            if m == ndims {
+                m = 0;
+            }
         }
         pos += n;
     }

@@ -4,12 +4,20 @@
 //! count (a 32 GiB request that aborts the process, which
 //! `catch_unwind` cannot stop). The tile store is also checked with a
 //! forged tile count.
+//!
+//! The MTKS reader is also fuzzed: a seeded loop of truncations, bit
+//! flips and forged header words over a valid file whose first mode
+//! has 2^60 indices must never panic, and loading it, then building
+//! its CSF trees, stays within the same allocation bound.
 
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;
 
 use counting_alloc::{counted, CountingAlloc};
 use mttkrp_repro::ooc::TileStore;
+use mttkrp_repro::rng::Rng64;
+use mttkrp_repro::sparse::{CooTensor, CsfTensor};
+use mttkrp_repro::workloads::io::{sparse_from_bytes, sparse_to_bytes};
 use mttkrp_repro::workloads::{read_model_from, read_sparse_from, read_tensor_from};
 
 #[global_allocator]
@@ -95,4 +103,82 @@ fn tile_store_rejects_forged_mode_or_tile_count_with_bounded_allocation() {
         assert_bounded_err(name, bytes.len(), || TileStore::open(&path).is_err());
     }
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A valid two-entry MTKS file of shape `[2^60, 4]`: the CSF build
+/// runs before any factor-size check in the daemon, so its memory must
+/// not follow the dims.
+fn huge_dims_mtks() -> Vec<u8> {
+    let d = 1usize << 60;
+    let coo = CooTensor::from_entries(&[d, 4], vec![0, 0, d - 1, 3], vec![1.0, 2.0]);
+    sparse_to_bytes(&coo)
+}
+
+/// Parse `bytes` as MTKS and, if that succeeds, build its CSF trees.
+/// Returns whether it loaded and the bytes this thread allocated.
+fn load_sparse_counted(bytes: &[u8]) -> (bool, u64) {
+    let mut loaded = false;
+    let (_, alloc) = counted(|| {
+        if let Ok(coo) = sparse_from_bytes(bytes) {
+            loaded = CsfTensor::from_coo(&coo).nnz() == coo.nnz();
+        }
+    });
+    (loaded, alloc)
+}
+
+#[test]
+fn huge_dims_sparse_file_loads_and_compresses_within_its_input() {
+    let bytes = huge_dims_mtks();
+    let (loaded, alloc) = load_sparse_counted(&bytes);
+    assert!(loaded, "a valid [2^60, 4] file was refused");
+    assert!(
+        alloc <= bytes.len() as u64 + ALLOWANCE,
+        "allocated {alloc} bytes for a {}-byte input",
+        bytes.len()
+    );
+}
+
+#[test]
+fn mutated_sparse_files_never_panic_and_allocate_within_their_input() {
+    let valid = huge_dims_mtks();
+    // Header words: version and mode count (u32), nnz and both dims
+    // (u64), by byte offset.
+    let words: [(usize, usize); 5] = [(4, 4), (8, 4), (12, 8), (20, 8), (28, 8)];
+    let forged_values = [0, 1, 2, 3, 1 << 32, 1 << 60, u32::MAX as u64, u64::MAX];
+    let mut rng = Rng64::seed_from_u64(0x3715_F022);
+    for case in 0..3000 {
+        let mut bytes = valid.clone();
+        let what = match case % 3 {
+            0 => {
+                let len = rng.usize_below(valid.len());
+                bytes.truncate(len);
+                format!("truncated to {len} bytes")
+            }
+            1 => {
+                let flips = rng.usize_in(1, 4);
+                for _ in 0..flips {
+                    let bit = rng.usize_below(8 * bytes.len());
+                    bytes[bit / 8] ^= 1 << (bit % 8);
+                }
+                format!("{flips} bit flips")
+            }
+            _ => {
+                let (at, width) = words[rng.usize_below(words.len())];
+                let v = if rng.usize_below(2) == 0 {
+                    forged_values[rng.usize_below(forged_values.len())]
+                } else {
+                    rng.next_u64()
+                };
+                bytes[at..at + width].copy_from_slice(&v.to_le_bytes()[..width]);
+                format!("header word at {at} forged to {v:#x}")
+            }
+        };
+        let run = std::panic::catch_unwind(|| load_sparse_counted(&bytes));
+        let (_, alloc) = run.unwrap_or_else(|_| panic!("case {case} ({what}) panicked"));
+        assert!(
+            alloc <= bytes.len() as u64 + ALLOWANCE,
+            "case {case} ({what}): allocated {alloc} bytes for a {}-byte input",
+            bytes.len()
+        );
+    }
 }
