@@ -2,19 +2,37 @@
 //!
 //! Three-level blocking (BLIS-style) shaped for MTTKRP's tall, skinny
 //! `X(n) · K`: `m` is a tensor dimension `I_n`, `n` is the rank `C ≤ 64`
-//! and `k` is huge. Panels of `A` and `B` are packed into contiguous
+//! and `k` is huge. Blocks of `A` and `B` are packed into contiguous
 //! buffers sized for cache residency, and the kernel set's `mr × w`
 //! microkernel, vectorized along `m`, runs on rank panels of exact,
 //! near-equal width (`25 → 9 + 8 + 8` on AVX-512), so no column of the
-//! register tile is zero padding. Tiles accumulate across the whole `k`
-//! loop in a packed copy of the `C` block, which is added into `C` once.
+//! register tile is zero padding.
 //!
 //! Transposes and layouts are expressed through the strides of the
 //! [`MatRef`] views, so one entry point serves every case in the MTTKRP
-//! algorithms. `A` is packed by its stride class: unit row stride
-//! (column-major `X(0)`) by vector copies, unit column stride (row-major
-//! tensor blocks, the last mode, transposed matricizations) by the
-//! set's in-register transpose, anything else element by element.
+//! algorithms. The tensor is the `A` operand, and streaming it is most
+//! of the work, so `A` is packed by its stride class at the cost of a
+//! copy:
+//!
+//! * unit row stride (column-major `X(0:n)`: every `R` partial of the
+//!   two-group sweep, mode-0 GEMMs, out-of-core tiles) by plain copies
+//!   of its column runs into a column-major `mc × kc` block, tail rows
+//!   zero-padded to a multiple of `mr`; the microkernel reads it in
+//!   place through its leading-dimension argument (`lda` = the padded
+//!   height);
+//! * unit column stride (row-major tensor blocks, the last mode, the
+//!   transposed `L` partials) by the set's in-register transpose into
+//!   `kc × mr` micro-panels (`lda = mr`);
+//! * anything else element by element into micro-panels.
+//!
+//! The `k`-block `KC_BYTES` is a byte size — 2 KiB of every row or
+//! column run, so 256 `f64` or 512 `f32` — which keeps the runs a pack
+//! reads equally long in both precisions. Tiles accumulate across the
+//! whole `k` loop in a packed copy of the `C` block, which is written
+//! into `C` once: `β = 0` stores `α·C_pack` without reading `C` (so NaN
+//! in uninitialized output cannot leak in), any other `β` folds
+//! `β·C + α·C_pack` into that same pass. When `k` fits one `k`-block,
+//! `B` is packed once per call rather than once per row block.
 //!
 //! [`par_gemm`] statically partitions the larger output dimension across
 //! a thread pool, mirroring how the paper invokes multithreaded MKL.
@@ -25,13 +43,14 @@ use crate::kernels::{kernels, KernelSet, MAX_MR};
 use crate::mat::{MatMut, MatRef};
 use crate::scalar::Scalar;
 
-/// K-dimension cache block (sized so an `mr × KC` strip of packed A and a
-/// `KC × w` strip of packed B stay L1/L2-resident).
-const KC: usize = 256;
+/// K-dimension cache block in bytes: `kc = KC_BYTES / sizeof(S)` (256
+/// `f64`, 512 `f32`), so a packed `kc × w` B panel stays L1-resident,
+/// an `MC × kc` A block L2-resident, and every pack reads runs of 2 KiB.
+const KC_BYTES: usize = 2048;
 /// M-dimension cache block, a multiple of every set's tile height
-/// [`KernelSet::mr`] (packed A block is `MC × KC`: 256 KiB in `f64`).
+/// [`KernelSet::mr`] (packed A block is `MC × kc`: 512 KiB).
 const MC: usize = 256;
-/// N-dimension cache block (packed B block is `KC × NC`).
+/// N-dimension cache block (packed B block is `kc × NC`).
 const NC: usize = 1024;
 /// Byte alignment of the packed panels: one cache line, so no vector
 /// load of a micro-panel straddles two lines.
@@ -62,8 +81,8 @@ pub fn gemm_with<S: Scalar>(
     assert_eq!(c.nrows(), m, "output rows must match A");
     assert_eq!(c.ncols(), n, "output columns must match B");
 
-    scale_c(&mut c, beta);
     if alpha == 0.0 || m == 0 || n == 0 || k == 0 {
+        scale_c(&mut c, beta);
         return;
     }
 
@@ -76,6 +95,7 @@ pub fn gemm_with<S: Scalar>(
     // the panels would not amortize, and the accumulate loop below is
     // register-friendly enough at these sizes.
     if m * n * k <= 16 * 1024 {
+        scale_c(&mut c, beta);
         small_kernel(alpha, &a, &b, &mut c);
         return;
     }
@@ -89,12 +109,17 @@ pub fn gemm_with<S: Scalar>(
     // grow-only, so repeated GEMM calls (one per tensor block) neither
     // re-allocate nor re-zero them once a CP-ALS sweep has sized them.
     let mc = MC.min(m.next_multiple_of(ks.mr()));
-    let (kc, nc) = (KC.min(k), NC.min(n));
+    let (kc, nc) = (kc_max::<S>().min(k), NC.min(n));
     S::with_pack_buffers(|a_buf, bc_buf| {
         let a_pack = aligned(a_buf, mc * kc);
         let (b_pack, c_pack) = aligned(bc_buf, kc * nc + mc * nc).split_at_mut(kc * nc);
-        gemm_blocked(ks, alpha, &a, &b, &mut c, a_pack, b_pack, c_pack);
+        gemm_blocked(ks, alpha, &a, &b, beta, &mut c, a_pack, b_pack, c_pack);
     });
+}
+
+/// The `k`-block of element type `S`: [`KC_BYTES`] of it.
+const fn kc_max<S>() -> usize {
+    KC_BYTES / std::mem::size_of::<S>()
 }
 
 /// The first `len` elements of `buf` past its first
@@ -175,13 +200,14 @@ fn panel_width(nc: usize, np: usize, q: usize) -> usize {
 
 /// The packed, blocked path of [`gemm`]: for each `MC` block of rows,
 /// the tiles of a packed `C` block accumulate over all of `k` before
-/// one `C += α · C_pack`.
+/// one `C ← α·C_pack + β·C`, the only pass over that block of `C`.
 #[allow(clippy::too_many_arguments)]
 fn gemm_blocked<S: Scalar>(
     ks: &KernelSet<S>,
     alpha: f64,
     a: &MatRef<S>,
     b: &MatRef<S>,
+    beta: f64,
     c: &mut MatMut<S>,
     a_pack: &mut [S],
     b_pack: &mut [S],
@@ -190,11 +216,17 @@ fn gemm_blocked<S: Scalar>(
     let (m, k) = (a.nrows(), a.ncols());
     let n = b.ncols();
     let mr = ks.mr();
+    let kc_max = kc_max::<S>();
+    // With a single k-block the packed B serves every row block.
+    let b_once = k <= kc_max;
 
     let mut jc = 0;
     while jc < n {
         let nc = usize::min(NC, n - jc);
         let np = nc.div_ceil(ks.nr());
+        if b_once {
+            pack_b(b_pack, &b.submatrix(0, jc, k, nc), np);
+        }
         let mut ic = 0;
         while ic < m {
             let mc = usize::min(MC, m - ic);
@@ -203,26 +235,27 @@ fn gemm_blocked<S: Scalar>(
             c_pack.fill(S::ZERO);
             let mut pc = 0;
             while pc < k {
-                let kc = usize::min(KC, k - pc);
-                pack_b(b_pack, &b.submatrix(pc, jc, kc, nc), np);
-                pack_a(ks, a_pack, &a.submatrix(ic, pc, mc, kc));
-                // One B panel stays in L1 while the A micro-panels of the
-                // block stream past it.
+                let kc = usize::min(kc_max, k - pc);
+                if !b_once {
+                    pack_b(b_pack, &b.submatrix(pc, jc, kc, nc), np);
+                }
+                let (t_stride, lda) = pack_a(ks, a_pack, &a.submatrix(ic, pc, mc, kc));
+                // One B panel stays in L1 while the A tiles of the block
+                // stream past it.
                 let (mut b_off, mut c_off) = (0, 0);
                 for q in 0..np {
                     let w = panel_width(nc, np, q);
                     let b_panel = &b_pack[b_off..b_off + kc * w];
                     for t in 0..mt {
-                        let a_panel = &a_pack[t * kc * mr..(t + 1) * kc * mr];
                         let tile = &mut c_pack[c_off + t * mr * w..c_off + (t + 1) * mr * w];
-                        (ks.gemm_micro)(kc, w, a_panel, b_panel, tile);
+                        (ks.gemm_micro)(kc, w, &a_pack[t * t_stride..], lda, b_panel, tile);
                     }
                     b_off += kc * w;
                     c_off += mt * mr * w;
                 }
-                pc += KC;
+                pc += kc_max;
             }
-            unpack_c(alpha, c_pack, c, ic, jc, mc, mr, nc, np);
+            unpack_c(alpha, beta, c_pack, c, ic, jc, mc, mr, nc, np);
             ic += MC;
         }
         jc += NC;
@@ -251,21 +284,30 @@ pub(crate) fn scale_c<S: Scalar>(c: &mut MatMut<S>, beta: f64) {
     }
 }
 
-/// Pack the `mc × kc` block `a` into micro-panels of `mr = ks.mr()`
-/// rows, column-major within each (`a_pack[t·kc·mr + p·mr + i]`), rows
-/// past `mc` zero-padded. The copy is chosen by the stride class of `a`.
-fn pack_a<S: Scalar>(ks: &KernelSet<S>, a_pack: &mut [S], a: &MatRef<S>) {
+/// Pack the `mc × kc` block `a` for the microkernel, rows past `mc`
+/// zero-padded to a multiple of `mr = ks.mr()`, by the stride class of
+/// `a`. Returns `(t_stride, lda)`: tile `t` reads row `i`, column `p`
+/// at `a_pack[t·t_stride + p·lda + i]`.
+///
+/// Unit row stride packs a column-major block (`lda` = padded height,
+/// each column one contiguous copy); the other classes pack `kc × mr`
+/// micro-panels (`lda = mr`), by the set's transposing `pack_rows` for
+/// unit column stride and element by element otherwise.
+fn pack_a<S: Scalar>(ks: &KernelSet<S>, a_pack: &mut [S], a: &MatRef<S>) -> (usize, usize) {
     let (mc, kc) = (a.nrows(), a.ncols());
     let mr = ks.mr();
-    let panels = a_pack[..mc.div_ceil(mr) * kc * mr].chunks_exact_mut(kc * mr);
+    let mt = mc.div_ceil(mr);
     if a.row_stride() == 1 {
-        match mr {
-            8 => pack_a_cols::<S, 8>(a_pack, a),
-            16 => pack_a_cols::<S, 16>(a_pack, a),
-            32 => pack_a_cols::<S, 32>(a_pack, a),
-            _ => unreachable!("tile heights are 8, 16 or 32"),
+        let lda = mt * mr;
+        for (p, dst) in a_pack[..kc * lda].chunks_exact_mut(lda).enumerate() {
+            let (col, pad) = dst.split_at_mut(mc);
+            col.copy_from_slice(a.col_slice(p));
+            pad.fill(S::ZERO);
         }
-    } else if a.col_stride() == 1 {
+        return (mr, lda);
+    }
+    let panels = a_pack[..mt * kc * mr].chunks_exact_mut(kc * mr);
+    if a.col_stride() == 1 {
         for (t, panel) in panels.enumerate() {
             let rows = usize::min(mr, mc - t * mr);
             let mut slices: [&[S]; MAX_MR] = [&[]; MAX_MR];
@@ -290,29 +332,7 @@ fn pack_a<S: Scalar>(ks: &KernelSet<S>, a_pack: &mut [S], a: &MatRef<S>) {
             }
         }
     }
-}
-
-/// [`pack_a`] for unit row stride (each column of `a` a contiguous
-/// slice): a column at a time, `MR`-element vector copies into each
-/// micro-panel.
-fn pack_a_cols<S: Scalar, const MR: usize>(a_pack: &mut [S], a: &MatRef<S>) {
-    let (mc, kc) = (a.nrows(), a.ncols());
-    let mt = mc.div_ceil(MR);
-    for p in 0..kc {
-        let col = a.col_slice(p);
-        for t in 0..mt {
-            let dst: &mut [S; MR] = (&mut a_pack[(t * kc + p) * MR..][..MR])
-                .try_into()
-                .expect("slice of length MR");
-            let src = &col[t * MR..mc.min((t + 1) * MR)];
-            if let Ok(src) = <&[S; MR]>::try_from(src) {
-                *dst = *src;
-            } else {
-                dst[..src.len()].copy_from_slice(src);
-                dst[src.len()..].fill(S::ZERO);
-            }
-        }
-    }
+    (kc * mr, mr)
 }
 
 /// Pack the `kc × nc` block `b` into `np` panels of exact, near-equal
@@ -341,12 +361,15 @@ fn pack_b<S: Scalar>(b_pack: &mut [S], b: &MatRef<S>, np: usize) {
     }
 }
 
-/// `C[ic.., jc..] += α · C_pack` for one `mc × nc` block, reading the
-/// packed tiles in the order [`gemm_blocked`] wrote them (per rank
-/// panel, per `mr`-row tile, column-major within a tile).
+/// `C[ic.., jc..] ← α·C_pack + β·C` for one `mc × nc` block, the one
+/// pass over it, reading the packed tiles in the order [`gemm_blocked`]
+/// wrote them (per rank panel, per `mr`-row tile, column-major within a
+/// tile): `β = 0` stores without reading `C`, `β = 1` adds, any other
+/// `β` scales the old value in the same pass.
 #[allow(clippy::too_many_arguments)]
 fn unpack_c<S: Scalar>(
     alpha: f64,
+    beta: f64,
     c_pack: &[S],
     c: &mut MatMut<S>,
     ic: usize,
@@ -356,7 +379,7 @@ fn unpack_c<S: Scalar>(
     nc: usize,
     np: usize,
 ) {
-    let alpha = S::from_f64(alpha);
+    let (alpha, beta_s) = (S::from_f64(alpha), S::from_f64(beta));
     let mt = mc.div_ceil(mr);
     let (mut off, mut j0) = (0, 0);
     for q in 0..np {
@@ -369,8 +392,14 @@ fn unpack_c<S: Scalar>(
                     let (ci, cj) = (ic + t * mr + i, jc + j0 + j);
                     // SAFETY: `ci < ic + mc <= m` and `cj < jc + nc <= n`.
                     unsafe {
-                        let old = c.get_unchecked(ci, cj);
-                        c.set_unchecked(ci, cj, old + alpha * v);
+                        let new = if beta == 0.0 {
+                            alpha * v
+                        } else if beta == 1.0 {
+                            c.get_unchecked(ci, cj) + alpha * v
+                        } else {
+                            c.get_unchecked(ci, cj) * beta_s + alpha * v
+                        };
+                        c.set_unchecked(ci, cj, new);
                     }
                 }
             }

@@ -46,22 +46,26 @@ pub mod x86_64;
 pub(crate) const MAX_MR: usize = 32;
 
 /// Checks the [`KernelSet::gemm_micro`] contract for a tile of height
-/// `mr` and widest panel `nr`. The SIMD microkernels read their panels
-/// through raw pointers, so this check is what makes their safe
-/// wrappers sound.
+/// `mr` and widest panel `nr`: A is read at `a[p·lda + i]` for `p < kc`,
+/// `i < mr`, so it needs `lda >= mr` and `(kc − 1)·lda + mr` elements.
+/// The SIMD microkernels read their operands through raw pointers, so
+/// this check is what makes their safe wrappers sound.
+#[allow(clippy::too_many_arguments)]
 #[inline]
 pub(crate) fn check_micro_args(
     mr: usize,
     nr: usize,
     kc: usize,
     w: usize,
-    a_panel: usize,
+    a: usize,
+    lda: usize,
     b_panel: usize,
     tile: usize,
 ) {
+    let a_need = kc.checked_sub(1).map_or(0, |p| p * lda + mr);
     assert!(
-        (1..=nr).contains(&w) && a_panel >= kc * mr && b_panel >= kc * w && tile >= mr * w,
-        "gemm_micro: w={w} (nr={nr}), kc={kc}, panels {a_panel}/{b_panel}, tile {tile} (mr={mr})"
+        (1..=nr).contains(&w) && lda >= mr && a >= a_need && b_panel >= kc * w && tile >= mr * w,
+        "gemm_micro: w={w} (nr={nr}), kc={kc}, a {a} (lda={lda}), b {b_panel}, tile {tile} (mr={mr})"
     );
 }
 
@@ -188,18 +192,24 @@ pub struct KernelSet<S: Scalar = f64> {
     /// (`acc.len() == n·n`; only the lower-triangle prefixes are
     /// touched).
     pub syrk_rank1_lower: fn(&[S], &mut [f64]),
-    /// Register-tiled rank-`kc` GEMM microkernel on packed panels:
-    /// `tile[j·mr + i] += Σ_p a_panel[p·mr + i] · b_panel[p·w + j]` for
-    /// `i < mr`, `j < w`, with `mr = self.mr()` and any panel width
-    /// `1 <= w <= self.nr()` (`a_panel.len() >= kc·mr`,
-    /// `b_panel.len() >= kc·w`, `tile.len() >= mr·w`; panics otherwise).
+    /// Register-tiled rank-`kc` GEMM microkernel:
+    /// `tile[j·mr + i] += Σ_p a[p·lda + i] · b_panel[p·w + j]` for
+    /// `i < mr`, `j < w`, with `mr = self.mr()`, any panel width
+    /// `1 <= w <= self.nr()` and any leading dimension `lda >= mr`
+    /// (`a.len() >= (kc−1)·lda + mr`, `b_panel.len() >= kc·w`,
+    /// `tile.len() >= mr·w`; panics otherwise).
     ///
-    /// The tile is vectorized along `m` (the tensor's `I_n` rows): each
-    /// step loads two vectors of A and broadcasts `w` entries of B into
-    /// `2·w` independent accumulators, so a rank of 25 runs as exact
-    /// panels of 9 + 8 + 8 with no zero-padded columns. The tile is
-    /// column-major and accumulated natively in `S`.
-    pub gemm_micro: fn(usize, usize, &[S], &[S], &mut [S]),
+    /// The leading dimension lets one kernel read both A layouts the
+    /// GEMM driver packs: a `kc × mr` micro-panel (`lda = mr`) and an
+    /// `mr`-row strip of a column-major `mc × kc` block (`lda` = the
+    /// block's padded height). The tile is vectorized along `m` (the
+    /// tensor's `I_n` rows): each step loads two vectors of A from one
+    /// column and broadcasts `w` entries of B into `2·w` independent
+    /// accumulators, so a rank of 25 runs as exact panels of 9 + 8 + 8
+    /// with no zero-padded columns. The tile is column-major and
+    /// accumulated natively in `S`, summing `p` in order.
+    #[allow(clippy::type_complexity)]
+    pub gemm_micro: fn(usize, usize, &[S], usize, &[S], &mut [S]),
     /// Packs at most `mr` rows of A, each a contiguous slice of one
     /// length `kc`, into a `kc × mr` micro-panel
     /// (`dst[p·mr + i] = rows[i][p]`, zeros for `i >= rows.len()`):
@@ -393,7 +403,7 @@ mod tests {
         for tier in available_tiers() {
             let k64 = KernelSet::<f64>::for_tier(tier).unwrap();
             let k32 = KernelSet::<f32>::for_tier(tier).unwrap();
-            // The GEMM driver's A pack is monomorphized for these heights.
+            // The transposing A pack stacks at most MAX_MR row slices.
             for (mr, nr) in [(k64.mr(), k64.nr()), (k32.mr(), k32.nr())] {
                 assert!([8, 16, MAX_MR].contains(&mr) && nr > 0, "{tier}");
             }

@@ -92,28 +92,43 @@ pub(crate) const NR: usize = 4;
 
 /// The `mr × w` GEMM microkernel of the
 /// [`KernelSet::gemm_micro`](super::KernelSet::gemm_micro) contract with
-/// `mr = MR`, `w <= NR`: `tile[j·MR + i] += Σ_p a_panel[p·MR + i] ·
-/// b_panel[p·w + j]`. Also the NEON sets' microkernel.
-pub fn gemm_micro<S: Scalar>(kc: usize, w: usize, a_panel: &[S], b_panel: &[S], tile: &mut [S]) {
-    check_micro_args(MR, NR, kc, w, a_panel.len(), b_panel.len(), tile.len());
+/// `mr = MR`, `w <= NR`: `tile[j·MR + i] += Σ_p a[p·lda + i] ·
+/// b_panel[p·w + j]`, reading A's column `p` at `a[p·lda ..]` so packed
+/// micro-panels (`lda = MR`) and column-major blocks (`lda >= MR`) go
+/// through the same loop. Also the NEON sets' microkernel, and so the
+/// only GEMM tile `aarch64` builds.
+pub fn gemm_micro<S: Scalar>(
+    kc: usize,
+    w: usize,
+    a: &[S],
+    lda: usize,
+    b_panel: &[S],
+    tile: &mut [S],
+) {
+    check_micro_args(MR, NR, kc, w, a.len(), lda, b_panel.len(), tile.len());
     match w {
-        1 => micro_tile::<S, 1>(kc, a_panel, b_panel, tile),
-        2 => micro_tile::<S, 2>(kc, a_panel, b_panel, tile),
-        3 => micro_tile::<S, 3>(kc, a_panel, b_panel, tile),
-        _ => micro_tile::<S, 4>(kc, a_panel, b_panel, tile),
+        1 => micro_tile::<S, 1>(kc, a, lda, b_panel, tile),
+        2 => micro_tile::<S, 2>(kc, a, lda, b_panel, tile),
+        3 => micro_tile::<S, 3>(kc, a, lda, b_panel, tile),
+        _ => micro_tile::<S, 4>(kc, a, lda, b_panel, tile),
     }
 }
 
 /// One width of [`gemm_micro`]: the `MR × W` accumulator lives in
 /// locals, and the fixed-width inner loop along `m` autovectorizes.
 #[inline(always)]
-fn micro_tile<S: Scalar, const W: usize>(kc: usize, a_panel: &[S], b_panel: &[S], tile: &mut [S]) {
+fn micro_tile<S: Scalar, const W: usize>(
+    kc: usize,
+    a: &[S],
+    lda: usize,
+    b_panel: &[S],
+    tile: &mut [S],
+) {
     let mut acc = [[S::ZERO; MR]; W];
-    for (a, b) in a_panel
-        .chunks_exact(MR)
-        .zip(b_panel.chunks_exact(W))
-        .take(kc)
-    {
+    for (p, b) in b_panel.chunks_exact(W).take(kc).enumerate() {
+        let a: &[S; MR] = a[p * lda..p * lda + MR]
+            .try_into()
+            .expect("MR-element column");
         for j in 0..W {
             for i in 0..MR {
                 acc[j][i] += a[i] * b[j];

@@ -788,21 +788,23 @@ const NR_AVX2: usize = 6;
 /// Defines a tile's safe `gemm_micro` wrapper `$micro` and the
 /// `MR × W` kernel `$tile` (`MR = 2·lanes`) it dispatches to, one
 /// const-generic instantiation per listed width `1..=nr`. Per step the
-/// kernel loads two A vectors (`a[p·MR ..]`), broadcasts `W` entries of
-/// B (`b[p·W ..]`) and issues `2·W` FMAs into register accumulators,
-/// which it adds into the column-major tile `t` at the end.
+/// kernel loads two A vectors from column `p` (`a[p·lda ..]`: a packed
+/// micro-panel when `lda = MR`, a strip of a column-major block
+/// otherwise), broadcasts `W` entries of B (`b[p·W ..]`) and issues
+/// `2·W` FMAs into register accumulators, which it adds into the
+/// column-major tile `t` at the end.
 macro_rules! simd_gemm_micro {
     ($micro:ident, $tile:ident, $t:ty, $feat:literal, $lanes:literal, $nr:expr, [$($w:literal),*],
      $zero:ident, $load:ident, $store:ident, $set1:ident, $fma:ident, $add:ident) => {
-        fn $micro(kc: usize, w: usize, a_panel: &[$t], b_panel: &[$t], tile: &mut [$t]) {
-            check_micro_args(2 * $lanes, $nr, kc, w, a_panel.len(), b_panel.len(), tile.len());
-            let (a, b, t) = (a_panel.as_ptr(), b_panel.as_ptr(), tile.as_mut_ptr());
+        fn $micro(kc: usize, w: usize, a: &[$t], lda: usize, b_panel: &[$t], tile: &mut [$t]) {
+            check_micro_args(2 * $lanes, $nr, kc, w, a.len(), lda, b_panel.len(), tile.len());
+            let (a, b, t) = (a.as_ptr(), b_panel.as_ptr(), tile.as_mut_ptr());
             // SAFETY: the set holding this kernel exists only where its
             // target features were detected, and the check above bounds
-            // every panel read and tile access.
+            // every A and B read and tile access.
             unsafe {
                 match w {
-                    $($w => $tile::<$w>(kc, a, b, t),)*
+                    $($w => $tile::<$w>(kc, a, lda, b, t),)*
                     _ => unreachable!("panel width is checked by check_micro_args"),
                 }
             }
@@ -810,22 +812,30 @@ macro_rules! simd_gemm_micro {
 
         /// # Safety
         /// The CPU supports the tile's target features; `a` is readable
-        /// for `kc·MR` elements, `b` for `kc·W`, and `t` is readable and
-        /// writable for `MR·W`.
+        /// at `p·lda + i` for `p < kc`, `i < MR`, `b` for `kc·W`
+        /// elements, and `t` is readable and writable for `MR·W`.
         #[target_feature(enable = $feat)]
-        unsafe fn $tile<const W: usize>(kc: usize, a: *const $t, b: *const $t, t: *mut $t) {
+        unsafe fn $tile<const W: usize>(
+            kc: usize,
+            a: *const $t,
+            lda: usize,
+            b: *const $t,
+            t: *mut $t,
+        ) {
             const MR: usize = 2 * $lanes;
             let mut lo = [$zero(); W];
             let mut hi = [$zero(); W];
-            for p in 0..kc {
-                let a0 = $load(a.add(MR * p));
-                let a1 = $load(a.add(MR * p + $lanes));
-                let bp = b.add(W * p);
+            let (mut ap, mut bp) = (a, b);
+            for _ in 0..kc {
+                let a0 = $load(ap);
+                let a1 = $load(ap.add($lanes));
                 for j in 0..W {
                     let bj = $set1(*bp.add(j));
                     lo[j] = $fma(a0, bj, lo[j]);
                     hi[j] = $fma(a1, bj, hi[j]);
                 }
+                ap = ap.wrapping_add(lda);
+                bp = bp.add(W);
             }
             for j in 0..W {
                 let tj = t.add(MR * j);

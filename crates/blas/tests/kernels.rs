@@ -2,9 +2,11 @@
 //! supports must agree with the scalar reference to ≤ 1e-13 relative
 //! error on seeded random inputs, including unaligned/remainder
 //! lengths, `alpha == 0`, the NaN-clearing `beta` semantics of the full
-//! GEMM, every rank-panel width of the microkernel, and the CP shapes
-//! (tall `m`, narrow ragged `n`, deep `k`) over all three pack classes
-//! of A.
+//! GEMM, every rank-panel width of the microkernel and every class of
+//! its A leading dimension, and the CP shapes (tall `m`, narrow ragged
+//! `n`, deep `k`) over all three pack classes of A. The blocked GEMM is
+//! also held to a naive product directly: `β = 0` over a NaN-filled `C`
+//! (so `C` is written once and never read) and `β ∉ {0, 1}` scaling.
 //!
 //! The `f32` kernel sets are held to the same structure: the two `f64`
 //! reductions (`dot`, SYRK) keep near-f64 tolerances because they
@@ -12,7 +14,7 @@
 //! elementwise and GEMM kernels get f32-appropriate budgets.
 
 use mttkrp_blas::kernels::{available_tiers, KernelSet, KernelTier};
-use mttkrp_blas::{gemm_with, syrk_t_with, Layout, MatMut, MatRef};
+use mttkrp_blas::{gemm_with, syrk_t_with, Layout, MatMut, MatRef, Scalar};
 
 /// Relative-error budget of the acceptance criterion.
 const TOL: f64 = 1e-13;
@@ -176,7 +178,7 @@ fn gemm_micro_matches_naive_panel_product() {
                 let b_panel = rand_vec(kc * w, 53 + (kc * w) as u64);
                 let init = rand_vec(mr * w, 57 + kc as u64);
                 let mut got = init.clone();
-                (ks.gemm_micro)(kc, w, &a_panel, &b_panel, &mut got);
+                (ks.gemm_micro)(kc, w, &a_panel, mr, &b_panel, &mut got);
                 let mut want = init;
                 for p in 0..kc {
                     for j in 0..w {
@@ -188,6 +190,161 @@ fn gemm_micro_matches_naive_panel_product() {
                 assert_all_close(&got, &want, &format!("gemm_micro {tier} w={w} kc={kc}"));
             }
         }
+    }
+}
+
+/// `gemm_micro` with leading dimension `lda` against the naive
+/// `tile[j·mr + i] += Σ_p a[p·lda + i] · b[p·w + j]`, accumulated in
+/// `f64`, for every width and a few depths including the `k`-block of
+/// either dtype. A holds exactly `(kc − 1)·lda + mr` elements (filler
+/// between the columns is NaN, so a read outside the strip shows), and
+/// the result must be within `tol` of the oracle.
+fn check_micro_lda<S: Scalar>(tier: KernelTier, ks: &KernelSet<S>, lda: usize, tol: f64) {
+    let mr = ks.mr();
+    for w in 1..=ks.nr() {
+        for kc in [0usize, 1, 2, 17, 256, 512] {
+            let len = kc.checked_sub(1).map_or(0, |p| p * lda + mr);
+            let vals = rand_vec(len, 61 + (kc * lda) as u64);
+            let a: Vec<S> = (0..len)
+                .map(|x| S::from_f64(if x % lda < mr { vals[x] } else { f64::NAN }))
+                .collect();
+            let b: Vec<S> = rand_vec(kc * w, 67 + w as u64)
+                .into_iter()
+                .map(S::from_f64)
+                .collect();
+            let init: Vec<S> = rand_vec(mr * w, 71).into_iter().map(S::from_f64).collect();
+            let mut got = init.clone();
+            (ks.gemm_micro)(kc, w, &a, lda, &b, &mut got);
+            for j in 0..w {
+                for i in 0..mr {
+                    let want = init[j * mr + i].to_f64()
+                        + (0..kc)
+                            .map(|p| a[p * lda + i].to_f64() * b[p * w + j].to_f64())
+                            .sum::<f64>();
+                    let g = got[j * mr + i].to_f64();
+                    assert!(
+                        (g - want).abs() <= tol * (1.0 + want.abs()),
+                        "{} gemm_micro {tier} lda={lda} w={w} kc={kc} [{i},{j}]: {g} vs {want}",
+                        S::DTYPE
+                    );
+                }
+            }
+        }
+    }
+}
+
+#[test]
+fn gemm_micro_reads_a_through_its_leading_dimension() {
+    // lda = mr is the packed micro-panel, mr + 8 a padded column-major
+    // block, and 1031 (odd, larger than any MC block) an arbitrary
+    // stride: one kernel serves them all, on every tier and dtype.
+    for tier in available_tiers() {
+        let k64 = KernelSet::<f64>::for_tier(tier).unwrap();
+        let k32 = KernelSet::<f32>::for_tier(tier).unwrap();
+        for lda_of in [|mr| mr, |mr| mr + 8, |_| 1031] {
+            check_micro_lda(tier, &k64, lda_of(k64.mr()), TOL);
+            check_micro_lda(tier, &k32, lda_of(k32.mr()), TOL32_GEMM);
+        }
+    }
+}
+
+#[test]
+#[should_panic(expected = "gemm_micro")]
+fn gemm_micro_rejects_an_a_shorter_than_its_strided_reach() {
+    let ks = KernelSet::<f64>::scalar();
+    let (mr, kc, lda) = (ks.mr(), 4, ks.mr() + 8);
+    // One element short of (kc − 1)·lda + mr.
+    let a = vec![0.0; (kc - 1) * lda + mr - 1];
+    let mut tile = vec![0.0; mr];
+    (ks.gemm_micro)(kc, 1, &a, lda, &vec![0.0; kc], &mut tile);
+}
+
+/// `α·A·B + β·C0` by definition, in `f64`, row-major `m × n`.
+fn naive_gemm<S: Scalar>(
+    alpha: f64,
+    a: &MatRef<S>,
+    b: &MatRef<S>,
+    beta: f64,
+    c0: &[S],
+) -> Vec<f64> {
+    let (m, k, n) = (a.nrows(), a.ncols(), b.ncols());
+    let mut out = vec![0.0; m * n];
+    for i in 0..m {
+        for j in 0..n {
+            let s: f64 = (0..k)
+                .map(|p| a.get(i, p).to_f64() * b.get(p, j).to_f64())
+                .sum();
+            let c = if beta == 0.0 {
+                0.0
+            } else {
+                beta * c0[i * n + j].to_f64()
+            };
+            out[i * n + j] = alpha * s + c;
+        }
+    }
+    out
+}
+
+/// The blocked GEMM of every tier against [`naive_gemm`], on a shape
+/// that crosses every block edge: `m = 300` (not a multiple of any
+/// `mr`, past one `MC` block), `k = 600` (past both dtypes' `k`-block)
+/// and `n = 25` (wider than any rank panel), for each pack class of A.
+/// `C` starts as `c0`.
+fn check_blocked<S: Scalar>(alpha: f64, beta: f64, c0: f64, tol: f64) {
+    let (m, n, k) = (300, 25, 600);
+    let a_data: Vec<S> = rand_vec(2 * m * k, 5)
+        .into_iter()
+        .map(S::from_f64)
+        .collect();
+    let b_data: Vec<S> = rand_vec(k * n, 6).into_iter().map(S::from_f64).collect();
+    let b = MatRef::from_slice(&b_data, k, n, Layout::RowMajor);
+    let c_init: Vec<S> = if c0.is_nan() {
+        vec![S::from_f64(f64::NAN); m * n]
+    } else {
+        rand_vec(m * n, 7)
+            .into_iter()
+            .map(|x| S::from_f64(c0 + x))
+            .collect()
+    };
+    for form in [AForm::ColMajor, AForm::RowMajor, AForm::Strided] {
+        let a = a_view(&a_data, m, k, form);
+        let want = naive_gemm(alpha, &a, &b, beta, &c_init);
+        for tier in available_tiers() {
+            let ks = KernelSet::<S>::for_tier(tier).unwrap();
+            let mut got = c_init.clone();
+            gemm_with(
+                &ks,
+                alpha,
+                a,
+                b,
+                beta,
+                MatMut::from_slice(&mut got, m, n, Layout::RowMajor),
+            );
+            for (idx, (g, w)) in got.iter().zip(&want).enumerate() {
+                let g = g.to_f64();
+                assert!(
+                    (g - w).abs() <= tol * (1.0 + w.abs()),
+                    "{} gemm {tier} {form:?} α={alpha} β={beta} [{idx}]: {g} vs {w}",
+                    S::DTYPE
+                );
+            }
+        }
+    }
+}
+
+#[test]
+fn blocked_gemm_with_beta_zero_writes_c_without_reading_it() {
+    // C starts all-NaN: a single read of it would leave NaN behind.
+    check_blocked::<f64>(1.0, 0.0, f64::NAN, TOL);
+    check_blocked::<f64>(-0.5, 0.0, f64::NAN, TOL);
+    check_blocked::<f32>(1.0, 0.0, f64::NAN, TOL32_GEMM);
+}
+
+#[test]
+fn blocked_gemm_still_scales_c_for_other_betas() {
+    for beta in [1.0, 2.0, -0.5] {
+        check_blocked::<f64>(1.5, beta, 3.0, TOL);
+        check_blocked::<f32>(1.5, beta, 3.0, TOL32_GEMM);
     }
 }
 
@@ -506,7 +663,7 @@ fn f32_gemm_micro_matches_naive_panel_product() {
                 let b_panel = rand_vec_f32(kc * w, 53 + (kc * w) as u64);
                 let init = rand_vec_f32(mr * w, 57 + kc as u64);
                 let mut got = init.clone();
-                (ks.gemm_micro)(kc, w, &a_panel, &b_panel, &mut got);
+                (ks.gemm_micro)(kc, w, &a_panel, mr, &b_panel, &mut got);
                 let mut want = init;
                 for p in 0..kc {
                     for j in 0..w {

@@ -5,10 +5,11 @@
 //! `catch_unwind` cannot stop). The tile store is also checked with a
 //! forged tile count.
 //!
-//! The MTKS reader is also fuzzed: a seeded loop of truncations, bit
-//! flips and forged header words over a valid file whose first mode
-//! has 2^60 indices must never panic, and loading it, then building
-//! its CSF trees, stays within the same allocation bound.
+//! Every reader is also fuzzed by one seeded loop of truncations, bit
+//! flips and forged header words: over a valid MTKS file whose first
+//! mode has 2^60 indices (loaded, then compressed into CSF trees), and
+//! over small valid MTKT v1 (`f64`), MTKT v2 (`f32`) and MTKM files. No
+//! case may panic, and each stays within the same allocation bound.
 
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;
@@ -17,8 +18,11 @@ use counting_alloc::{counted, CountingAlloc};
 use mttkrp_repro::ooc::TileStore;
 use mttkrp_repro::rng::Rng64;
 use mttkrp_repro::sparse::{CooTensor, CsfTensor};
-use mttkrp_repro::workloads::io::{sparse_from_bytes, sparse_to_bytes};
-use mttkrp_repro::workloads::{read_model_from, read_sparse_from, read_tensor_from};
+use mttkrp_repro::tensor::DenseTensor;
+use mttkrp_repro::workloads::io::{
+    model_to_bytes, sparse_from_bytes, sparse_to_bytes, tensor_to_bytes,
+};
+use mttkrp_repro::workloads::{read_model_from, read_sparse_from, read_tensor_from, StoredModel};
 
 #[global_allocator]
 static ALLOCATOR: CountingAlloc = CountingAlloc;
@@ -138,17 +142,29 @@ fn huge_dims_sparse_file_loads_and_compresses_within_its_input() {
     );
 }
 
-#[test]
-fn mutated_sparse_files_never_panic_and_allocate_within_their_input() {
-    let valid = huge_dims_mtks();
-    // Header words: version and mode count (u32), nnz and both dims
-    // (u64), by byte offset.
-    let words: [(usize, usize); 5] = [(4, 4), (8, 4), (12, 8), (20, 8), (28, 8)];
-    let forged_values = [0, 1, 2, 3, 1 << 32, 1 << 60, u32::MAX as u64, u64::MAX];
-    let mut rng = Rng64::seed_from_u64(0x3715_F022);
-    for case in 0..3000 {
-        let mut bytes = valid.clone();
-        let what = match case % 3 {
+/// Header values the mutation loop forges, besides random words: the
+/// small counts, the 2^32 and 2^60 boundaries and both all-ones widths.
+const FORGED_VALUES: [u64; 8] = [0, 1, 2, 3, 1 << 32, 1 << 60, u32::MAX as u64, u64::MAX];
+
+/// Mutations per file format.
+const CASES: usize = 3000;
+
+/// Feed `CASES` seeded mutations of the valid file `valid` to `load`,
+/// which parses its input and returns the bytes it allocated: in turn a
+/// truncation, 1–4 bit flips, and one forged header word (`words` lists
+/// them as `(byte offset, width)`). No case may panic, and each must
+/// allocate at most its input plus [`ALLOWANCE`].
+fn mutation_loop(
+    what: &str,
+    valid: &[u8],
+    words: &[(usize, usize)],
+    seed: u64,
+    load: impl Fn(&[u8]) -> u64,
+) {
+    let mut rng = Rng64::seed_from_u64(seed);
+    for case in 0..CASES {
+        let mut bytes = valid.to_vec();
+        let mutation = match case % 3 {
             0 => {
                 let len = rng.usize_below(valid.len());
                 bytes.truncate(len);
@@ -165,7 +181,7 @@ fn mutated_sparse_files_never_panic_and_allocate_within_their_input() {
             _ => {
                 let (at, width) = words[rng.usize_below(words.len())];
                 let v = if rng.usize_below(2) == 0 {
-                    forged_values[rng.usize_below(forged_values.len())]
+                    FORGED_VALUES[rng.usize_below(FORGED_VALUES.len())]
                 } else {
                     rng.next_u64()
                 };
@@ -173,12 +189,69 @@ fn mutated_sparse_files_never_panic_and_allocate_within_their_input() {
                 format!("header word at {at} forged to {v:#x}")
             }
         };
-        let run = std::panic::catch_unwind(|| load_sparse_counted(&bytes));
-        let (_, alloc) = run.unwrap_or_else(|_| panic!("case {case} ({what}) panicked"));
+        let run = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| load(&bytes)));
+        let alloc = run.unwrap_or_else(|_| panic!("{what} case {case} ({mutation}) panicked"));
         assert!(
             alloc <= bytes.len() as u64 + ALLOWANCE,
-            "case {case} ({what}): allocated {alloc} bytes for a {}-byte input",
+            "{what} case {case} ({mutation}): allocated {alloc} bytes for a {}-byte input",
             bytes.len()
         );
     }
+}
+
+#[test]
+fn mutated_sparse_files_never_panic_and_allocate_within_their_input() {
+    // Header words: version and mode count (u32), nnz and both dims
+    // (u64), by byte offset.
+    let words = [(4, 4), (8, 4), (12, 8), (20, 8), (28, 8)];
+    mutation_loop("MTKS", &huge_dims_mtks(), &words, 0x3715_F022, |b| {
+        load_sparse_counted(b).1
+    });
+}
+
+/// A `3 × 4 × 5` tensor of distinct entries.
+fn small_tensor<S: mttkrp_repro::blas::Scalar>() -> DenseTensor<S> {
+    let mut v = 0.0;
+    DenseTensor::from_fn(&[3, 4, 5], || {
+        v += 0.25;
+        S::from_f64(v)
+    })
+}
+
+/// The bytes `read` allocates on this thread; its result is dropped.
+fn alloc_of<T>(read: impl FnOnce() -> T) -> u64 {
+    counted(|| drop(read())).1
+}
+
+#[test]
+fn mutated_dense_tensor_files_never_panic_and_allocate_within_their_input() {
+    // MTKT v1 (f64): version and mode count (u32), then three u64 dims.
+    let v1 = tensor_to_bytes(&small_tensor::<f64>());
+    let words = [(4, 4), (8, 4), (12, 8), (20, 8), (28, 8)];
+    mutation_loop("MTKT v1", &v1, &words, 0x7E45_0001, |b| {
+        alloc_of(|| read_tensor_from::<f64>(&mut { b }, b.len() as u64))
+    });
+    // MTKT v2 (f32): version, dtype tag and mode count (u32), three dims.
+    let v2 = tensor_to_bytes(&small_tensor::<f32>());
+    let words = [(4, 4), (8, 4), (12, 4), (16, 8), (24, 8), (32, 8)];
+    mutation_loop("MTKT v2", &v2, &words, 0x7E45_0002, |b| {
+        alloc_of(|| read_tensor_from::<f32>(&mut { b }, b.len() as u64))
+    });
+}
+
+#[test]
+fn mutated_model_files_never_panic_and_allocate_within_their_input() {
+    let dims = vec![3, 4, 5];
+    let rank = 2;
+    let model = StoredModel {
+        factors: dims.iter().map(|&d| vec![0.5; d * rank]).collect(),
+        dims,
+        rank,
+        lambda: vec![1.0, 2.0],
+    };
+    // MTKM: version, mode count and rank (u32), then three u64 dims.
+    let words = [(4, 4), (8, 4), (12, 4), (16, 8), (24, 8), (32, 8)];
+    mutation_loop("MTKM", &model_to_bytes(&model), &words, 0x7E45_0003, |b| {
+        alloc_of(|| read_model_from(&mut { b }, b.len() as u64))
+    });
 }
