@@ -86,15 +86,16 @@ pub fn gemm_with<S: Scalar>(
         return;
     }
 
-    if mttkrp_obs::metrics_enabled() {
-        record_gemm_metrics::<S>(ks.tier(), m, n, k);
-    }
-
     // Small problems (e.g. the tiny per-block multiplies of the
     // internal-mode 1-step MTTKRP on high-order tensors) skip packing:
     // the panels would not amortize, and the accumulate loop below is
     // register-friendly enough at these sizes.
-    if m * n * k <= 16 * 1024 {
+    let small = m * n * k <= 16 * 1024;
+    if mttkrp_obs::metrics_enabled() {
+        // Only the blocked path with β = 0 writes C without reading it.
+        record_gemm_metrics::<S>(ks.tier(), m, n, k, small || beta != 0.0);
+    }
+    if small {
         scale_c(&mut c, beta);
         small_kernel(alpha, &a, &b, &mut c);
         return;
@@ -135,12 +136,20 @@ fn aligned<S: Scalar>(buf: &mut Vec<S>, len: usize) -> &mut [S] {
 
 /// Per-tier GEMM call/byte/flop counters, recorded only under
 /// `--metrics` (`MTTKRP_METRICS=1`). Bytes model each operand touched
-/// once: `(m·k + k·n + 2·m·n) · sizeof(S)` (read + write of C); flops
-/// are the exact `2·m·n·k`. Together the pair is what the roofline
-/// attribution (`mttkrp-tune`'s perf-report bridge) divides by the
-/// measured GEMM seconds.
-fn record_gemm_metrics<S: Scalar>(tier: crate::KernelTier, m: usize, n: usize, k: usize) {
-    let bytes = ((m * k + k * n + 2 * m * n) * std::mem::size_of::<S>()) as u64;
+/// once: `(m·k + k·n + 2·m·n) · sizeof(S)` when C is read and written,
+/// `(m·k + k·n + m·n) · sizeof(S)` when it is only written (`reads_c`
+/// false); flops are the exact `2·m·n·k`. Together the pair is what the
+/// roofline attribution (`mttkrp-tune`'s perf-report bridge) divides by
+/// the measured GEMM seconds.
+fn record_gemm_metrics<S: Scalar>(
+    tier: crate::KernelTier,
+    m: usize,
+    n: usize,
+    k: usize,
+    reads_c: bool,
+) {
+    let c_passes = 1 + usize::from(reads_c);
+    let bytes = ((m * k + k * n + c_passes * m * n) * std::mem::size_of::<S>()) as u64;
     let flops = 2 * (m as u64) * (n as u64) * (k as u64);
     // One statically-named counter triple per tier keeps the handles
     // cacheable per call site.

@@ -1,11 +1,9 @@
 //! Matrix-vector multiply: `y ← α·A·x + β·y`.
 //!
-//! The 2-step MTTKRP's second phase (multi-TTV) is a sequence of `C`
-//! GEMV calls on column- or row-major blocks of the intermediate tensor
-//! (Algorithm 4 lines 8 and 14), so this kernel sits on the critical
-//! path of Figures 5–8.
-
-use mttkrp_parallel::ThreadPool;
+//! The 2-step MTTKRP's second phase (multi-TTV) contracts each of the
+//! `C` columns of the partial with one GEMV per remaining mode, on
+//! column- or row-major reshapes (Algorithm 4 lines 8 and 14), so this
+//! kernel sits on the critical path of Figures 5–8.
 
 use crate::level1::{axpy, dot, scale};
 use crate::mat::MatRef;
@@ -49,29 +47,6 @@ pub fn gemv<S: Scalar>(alpha: f64, a: MatRef<S>, x: &[S], beta: f64, y: &mut [S]
             y[i] += alpha_s * s;
         }
     }
-}
-
-/// Parallel GEMV: rows of `A` (and the matching entries of `y`) are
-/// statically partitioned across the pool.
-pub fn par_gemv<S: Scalar>(
-    pool: &ThreadPool,
-    alpha: f64,
-    a: MatRef<S>,
-    x: &[S],
-    beta: f64,
-    y: &mut [S],
-) {
-    let m = a.nrows();
-    assert_eq!(y.len(), m, "y length must equal nrows");
-    if pool.num_threads() == 1 || m < 2 * pool.num_threads() {
-        gemv(alpha, a, x, beta, y);
-        return;
-    }
-    let n = a.ncols();
-    pool.parallel_for_blocks(m, y, |_, range, y_chunk| {
-        let a_blk = a.submatrix(range.start, 0, range.len(), n);
-        gemv(alpha, a_blk, x, beta, y_chunk);
-    });
 }
 
 #[cfg(test)]
@@ -136,25 +111,9 @@ mod tests {
     }
 
     #[test]
-    fn par_gemv_matches_sequential() {
-        let pool = ThreadPool::new(4);
-        let (m, n) = (103, 37);
-        let a_data = data(m * n);
-        let a = MatRef::from_slice(&a_data, m, n, Layout::ColMajor);
-        let x = data(n);
-        let mut y_seq = data(m);
-        let mut y_par = y_seq.clone();
-        gemv(1.5, a, &x, 2.0, &mut y_seq);
-        par_gemv(&pool, 1.5, a, &x, 2.0, &mut y_par);
-        for (u, v) in y_par.iter().zip(&y_seq) {
-            assert!((u - v).abs() < 1e-10);
-        }
-    }
-
-    #[test]
     fn gemv_writes_into_matmut_column() {
-        // The 2-step multi-TTV writes each GEMV result into a column of
-        // the output matrix; verify the slice plumbing works.
+        // A GEMV result written into one column of a row-major output
+        // matrix; verify the slice plumbing works.
         let a_data = data(6);
         let a = MatRef::from_slice(&a_data, 3, 2, Layout::RowMajor);
         let x = vec![1.0, 1.0];

@@ -39,7 +39,7 @@ pub mod stream;
 pub mod syrk;
 
 pub use gemm::{gemm, gemm_with, par_gemm, par_gemm_with};
-pub use gemv::{gemv, par_gemv};
+pub use gemv::gemv;
 pub use kernels::{available_tiers, force_tier, kernels, KernelSet, KernelTier};
 pub use level1::{axpy, copy, dot, hadamard, hadamard_assign, mul_add, scale};
 pub use mat::{Layout, MatMut, MatRef};

@@ -35,7 +35,7 @@ impl Breakdown {
 
     /// Merge per-thread phase sums by taking the max per category —
     /// the wall-clock approximation for concurrently executed phases.
-    pub fn max_merge(parts: &[Breakdown]) -> Breakdown {
+    pub fn max_merge<'a>(parts: impl IntoIterator<Item = &'a Breakdown>) -> Breakdown {
         let mut out = Breakdown::default();
         for p in parts {
             out.reorder = out.reorder.max(p.reorder);

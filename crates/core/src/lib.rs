@@ -14,7 +14,8 @@
 //!   zero-copy block structure of `X(n)`, never reordering entries.
 //! * [`twostep`] — Algorithm 4 (Phan et al.): one large partial-MTTKRP
 //!   GEMM on `X(0:n)` or `X(0:n−1)ᵀ` followed by a multi-TTV of GEMV
-//!   calls, choosing the side that minimizes second-step flops.
+//!   calls, choosing the side that minimizes second-step flops. It runs
+//!   the partial-MTTKRP type of [`multimode`] on one mode group.
 //! * [`dispatch::mttkrp_auto`] — the paper's per-mode choice (1-step
 //!   for external modes, 2-step for internal modes), which per-mode
 //!   CP-ALS sweeps plan with.

@@ -1,25 +1,32 @@
-//! The two-group (dimension-tree) MTTKRP: every mode's MTTKRP from two
-//! partial-MTTKRP GEMMs.
+//! The partial MTTKRP, and the two-group (dimension-tree) plan that
+//! serves every mode of a sweep from two of them.
 //!
-//! The per-mode kernels read the whole tensor once per mode. The
-//! paper's conclusion names multi-mode reuse as the next step (Phan et
-//! al. §III.C): split the modes into a left group `{0, …, s−1}` and a
-//! right group `{s, …, N−1}` (`s = ⌈N/2⌉`) and form one partial each,
+//! A *partial MTTKRP* splits the modes at `s` into a prefix
+//! `{0, …, s−1}` and a suffix `{s, …, N−1}` and contracts the tensor
+//! with the other group's KRP in one GEMM, leaving the group's own
+//! modes open:
 //!
-//! * `R = X(0:s−1) · (U_{N−1} ⊙ ⋯ ⊙ U_s)`, `(I_0⋯I_{s−1}) × C`;
-//! * `L = X(0:s−1)ᵀ · (U_{s−1} ⊙ ⋯ ⊙ U_0)`, `(I_s⋯I_{N−1}) × C`.
+//! * prefix group: `R = X(0:s−1) · (U_{N−1} ⊙ ⋯ ⊙ U_s)`, `(I_0⋯I_{s−1}) × C`;
+//! * suffix group: `L = X(0:s−1)ᵀ · (U_{s−1} ⊙ ⋯ ⊙ U_0)`, `(I_s⋯I_{N−1}) × C`.
 //!
 //! Column `j` of a partial is a small tensor over its group's modes;
 //! contracting it with column `j` of every other in-group factor (a
-//! multi-TTV: a chain of GEMVs) yields column `j` of `M_n`.
+//! multi-TTV: a chain of GEMVs) yields column `j` of `M_n` for any mode
+//! `n` of the group. The crate-private `Partial` runs both steps for
+//! two plans:
 //!
-//! [`DimTreePlan`] owns the group KRPs, both partials and the multi-TTV
-//! scratch. In a CP-ALS sweep ([`DimTreePlan::execute_in_sweep`] for
-//! `n = 0..N−1`, factor `n−1` updated between calls) `R` depends only
-//! on the right factors, so it is formed at `n = 0` and serves every
-//! left mode as ALS updates the left factors; `L` is formed at `n = s`
-//! from the updated left factors. A gradient (all modes at fixed
-//! factors) is the same sequence with no updates in between.
+//! * the per-mode 2-step (Algorithm 4, Phan et al.): a
+//!   [`MttkrpPlan`](crate::MttkrpPlan) for internal mode `n` holds the
+//!   suffix group `n..N` (`TwoStepLeft`, split `n`) or the prefix group
+//!   `0..=n` (`TwoStepRight`, split `n+1`), and forms it on every call;
+//! * [`DimTreePlan`], the paper's future-work multi-mode reuse (Phan et
+//!   al. §III.C): two groups split at `s = ⌈N/2⌉`. In a CP-ALS sweep
+//!   ([`DimTreePlan::execute_in_sweep`] for `n = 0..N−1`, factor `n−1`
+//!   updated between calls) `R` depends only on the right factors, so
+//!   it is formed at `n = 0` and serves every left mode as ALS updates
+//!   the left factors; `L` is formed at `n = s` from the updated left
+//!   factors. A gradient (all modes at fixed factors) is the same
+//!   sequence with no updates in between.
 //!
 //! Each multi-TTV deals the `C` columns across the team in static
 //! blocks and runs a column's GEMV chain sequentially, so the result
@@ -34,11 +41,11 @@ use mttkrp_parallel::{block_range, ThreadPool, Workspace};
 use mttkrp_tensor::DenseTensor;
 
 use crate::breakdown::{timed_traced, Breakdown};
-use crate::plan::plan_krp;
-use crate::validate_factors;
+use crate::plan::{check_planned, plan_krp};
 
-/// One mode group and the partial that serves it.
-struct Group<S: Scalar> {
+/// A partial MTTKRP over one mode group, a prefix `0..s` or a suffix
+/// `s..N` of the modes. See the [module docs](self).
+pub(crate) struct Partial<S: Scalar> {
     /// The group's modes.
     modes: Range<usize>,
     /// The other group's factor indices in KRP order (descending).
@@ -47,12 +54,126 @@ struct Group<S: Scalar> {
     /// row-major. Empty when the other group is one mode: that factor
     /// is its own KRP.
     krp: Vec<S>,
-    /// The group partial, `(Π group dims) × C` column-major.
+    /// The partial, `(Π group dims) × C` column-major.
     partial: Vec<S>,
 }
 
+impl<S: Scalar> Partial<S> {
+    /// Allocate the partial of group `modes` (a prefix or a suffix of
+    /// the modes) of a `dims` tensor at rank `c`.
+    pub(crate) fn new(dims: &[usize], modes: Range<usize>, c: usize) -> Self {
+        let other = if modes.start == 0 {
+            modes.end..dims.len()
+        } else {
+            0..modes.start
+        };
+        let rows = |r: &Range<usize>| dims[r.clone()].iter().product::<usize>();
+        Partial {
+            other_order: other.clone().rev().collect(),
+            krp: vec![S::ZERO; if other.len() > 1 { rows(&other) * c } else { 0 }],
+            partial: vec![S::ZERO; rows(&modes) * c],
+            modes,
+        }
+    }
+
+    /// Address of the partial's buffer (stable across executions).
+    pub(crate) fn as_ptr(&self) -> *const S {
+        self.partial.as_ptr()
+    }
+
+    /// Form the partial at `factors`: the other group's KRP (charged to
+    /// `lr_krp`), then one partial GEMM into the column-major partial
+    /// (charged to `dgemm`).
+    pub(crate) fn form(
+        &mut self,
+        ks: &KernelSet<S>,
+        pool: &ThreadPool,
+        x: &DenseTensor<S>,
+        factors: &[MatRef<S>],
+        krp_state: &mut KrpState<S>,
+        bd: &mut Breakdown,
+    ) {
+        let c = factors[0].ncols();
+        let krp = if let [k] = self.other_order[..] {
+            factors[k]
+        } else {
+            timed_traced("krp", &mut bd.lr_krp, || {
+                plan_krp(
+                    ks,
+                    pool,
+                    factors,
+                    &self.other_order,
+                    krp_state,
+                    &mut self.krp,
+                    c,
+                )
+            });
+            MatRef::from_slice(&self.krp, self.krp.len() / c, c, Layout::RowMajor)
+        };
+        // X(0:s−1) is (Π prefix dims) × (Π suffix dims) column-major.
+        let prefix = self.modes.start == 0;
+        let split = if prefix {
+            self.modes.end
+        } else {
+            self.modes.start
+        };
+        let xv = x.unfold_leading(split - 1);
+        let a = if prefix { xv } else { xv.t() };
+        let rows = a.nrows();
+        timed_traced("gemm", &mut bd.dgemm, || {
+            par_gemm_with(
+                ks,
+                pool,
+                1.0,
+                a,
+                krp,
+                0.0,
+                MatMut::from_slice(&mut self.partial, rows, c, Layout::ColMajor),
+            )
+        });
+    }
+
+    /// `out ← M_n` for group mode `n` from the formed partial, charged
+    /// to `dgemv`: column `j` of the partial, a tensor over the group
+    /// dims, contracted with column `j` of every other group factor.
+    /// The columns are dealt across the team; each thread's results land
+    /// in its slot and are scattered into the row-major `out` afterwards.
+    #[allow(clippy::too_many_arguments)]
+    pub(crate) fn contract(
+        &self,
+        pool: &ThreadPool,
+        ttv: &mut Workspace<TtvSlot<S>>,
+        dims: &[usize],
+        factors: &[MatRef<S>],
+        n: usize,
+        out: &mut [S],
+        bd: &mut Breakdown,
+    ) {
+        let (g, gf) = (&dims[self.modes.clone()], &factors[self.modes.clone()]);
+        let (p, c) = (n - self.modes.start, factors[0].ncols());
+        let (total, rows) = (self.partial.len() / c, g[p]);
+        timed_traced("gemv", &mut bd.dgemv, || {
+            pool.run_with_workspace(ttv, |_, slot| {
+                for (jj, j) in slot.cols.clone().enumerate() {
+                    let sub = &self.partial[j * total..(j + 1) * total];
+                    let col =
+                        contract_column(sub, g, p, gf, j, &mut slot.v, &mut slot.a, &mut slot.b);
+                    slot.out[jj * rows..(jj + 1) * rows].copy_from_slice(col);
+                }
+            });
+            for slot in ttv.slots() {
+                for (jj, j) in slot.cols.clone().enumerate() {
+                    for (i, &v) in slot.out[jj * rows..(jj + 1) * rows].iter().enumerate() {
+                        out[i * c + j] = v;
+                    }
+                }
+            }
+        });
+    }
+}
+
 /// Per-thread multi-TTV scratch.
-struct TtvSlot<S: Scalar> {
+pub(crate) struct TtvSlot<S: Scalar> {
     /// This thread's static block of component columns.
     cols: Range<usize>,
     /// One factor column.
@@ -64,6 +185,42 @@ struct TtvSlot<S: Scalar> {
     out: Vec<S>,
 }
 
+/// Multi-TTV scratch for `t` threads contracting any mode of `groups`
+/// of a `dims` tensor at rank `c`.
+pub(crate) fn ttv_workspace<S: Scalar>(
+    t: usize,
+    dims: &[usize],
+    c: usize,
+    groups: &[Partial<S>],
+) -> Workspace<TtvSlot<S>> {
+    // The first contraction of a column is the largest: of the last
+    // group mode, or of mode 0 when the last mode is the one kept.
+    let inter = groups
+        .iter()
+        .map(|g| {
+            let gd = &dims[g.modes.clone()];
+            gd.iter().product::<usize>() / gd[0].min(gd[gd.len() - 1])
+        })
+        .max()
+        .unwrap_or(0);
+    let max_dim = dims.iter().copied().max().unwrap_or(0);
+    let nsplit = t.min(c);
+    Workspace::new(t, |tid| {
+        let cols = if tid < nsplit {
+            block_range(c, nsplit, tid)
+        } else {
+            0..0
+        };
+        TtvSlot {
+            v: vec![S::ZERO; max_dim],
+            a: vec![S::ZERO; inter],
+            b: vec![S::ZERO; inter],
+            out: vec![S::ZERO; max_dim * cols.len()],
+            cols,
+        }
+    })
+}
+
 /// Reusable two-group MTTKRP plan for one tensor shape, rank and team.
 /// See the [module docs](self).
 pub struct DimTreePlan<S: Scalar = f64> {
@@ -71,7 +228,7 @@ pub struct DimTreePlan<S: Scalar = f64> {
     c: usize,
     threads: usize,
     /// Left (`0..s`) and right (`s..N`) groups.
-    groups: [Group<S>; 2],
+    groups: [Partial<S>; 2],
     /// The mode an in-sweep call may continue from without refreshing
     /// its group's partial.
     next: usize,
@@ -104,53 +261,19 @@ impl<S: Scalar> DimTreePlan<S> {
         let _span = mttkrp_obs::span!("plan_build", modes = nmodes);
         mttkrp_obs::counter!("core.plans_built").incr();
         let s = nmodes.div_ceil(2);
-        let group = |modes: Range<usize>, other: Range<usize>| {
-            let total: usize = dims[modes.clone()].iter().product();
-            let other_total: usize = dims[other.clone()].iter().product();
-            Group {
-                other_order: other.clone().rev().collect(),
-                krp: vec![S::ZERO; if other.len() > 1 { other_total * c } else { 0 }],
-                partial: vec![S::ZERO; total * c],
-                modes,
-            }
-        };
-        let groups = [group(0..s, s..nmodes), group(s..nmodes, 0..s)];
-
-        // The first contraction of a column is the largest: of the last
-        // group mode, or of mode 0 when the last mode is the one kept.
-        let inter = groups
-            .iter()
-            .map(|g| {
-                let gd = &dims[g.modes.clone()];
-                gd.iter().product::<usize>() / gd[0].min(gd[gd.len() - 1])
-            })
-            .max()
-            .unwrap_or(0);
-        let max_dim = dims.iter().copied().max().unwrap_or(0);
+        let groups = [
+            Partial::new(dims, 0..s, c),
+            Partial::new(dims, s..nmodes, c),
+        ];
         let t = pool.num_threads();
-        let nsplit = t.min(c);
-        let ttv = Workspace::new(t, |tid| {
-            let cols = if tid < nsplit {
-                block_range(c, nsplit, tid)
-            } else {
-                0..0
-            };
-            TtvSlot {
-                v: vec![S::ZERO; max_dim],
-                a: vec![S::ZERO; inter],
-                b: vec![S::ZERO; inter],
-                out: vec![S::ZERO; max_dim * cols.len()],
-                cols,
-            }
-        });
         DimTreePlan {
             dims: dims.to_vec(),
             c,
             threads: t,
+            ttv: ttv_workspace(t, dims, c, &groups),
             groups,
             next: 0,
             krp_state: KrpState::new(),
-            ttv,
             kernels: *kernels::<S>(),
         }
     }
@@ -224,111 +347,26 @@ impl<S: Scalar> DimTreePlan<S> {
         out: &mut [S],
         refresh: bool,
     ) -> Breakdown {
-        assert_eq!(
-            x.dims(),
-            &self.dims[..],
-            "tensor shape differs from the planned shape"
-        );
-        assert_eq!(
-            pool.num_threads(),
-            self.threads,
-            "pool size differs from the planned team"
-        );
-        let c = validate_factors(&self.dims, factors);
-        assert_eq!(c, self.c, "factor rank differs from the planned rank");
-        assert!(n < self.dims.len(), "mode {n} out of range");
-        assert_eq!(out.len(), self.dims[n] * c, "output must be I_n × C");
-
+        check_planned(&self.dims, self.c, self.threads, pool, x, factors, n, out);
         let _span = mttkrp_obs::span!("mttkrp", mode = n);
         let total_t0 = std::time::Instant::now();
         let mut bd = Breakdown::default();
-        let s = self.split();
-        let g = usize::from(n >= s);
+        let g = usize::from(n >= self.split());
         let group = &mut self.groups[g];
         if refresh {
-            let other_rows = group.other_order.iter().map(|&k| self.dims[k]).product();
-            let krp = if let [k] = group.other_order[..] {
-                factors[k]
-            } else {
-                timed_traced("krp", &mut bd.lr_krp, || {
-                    plan_krp(
-                        &self.kernels,
-                        pool,
-                        factors,
-                        &group.other_order,
-                        &mut self.krp_state,
-                        &mut group.krp,
-                        c,
-                    )
-                });
-                MatRef::from_slice(&group.krp, other_rows, c, Layout::RowMajor)
-            };
-            // X(0:s−1) is (Π left dims) × (Π right dims) column-major.
-            let xv = x.unfold_leading(s - 1);
-            let a = if g == 0 { xv } else { xv.t() };
-            let rows = a.nrows();
-            timed_traced("gemm", &mut bd.dgemm, || {
-                par_gemm_with(
-                    &self.kernels,
-                    pool,
-                    1.0,
-                    a,
-                    krp,
-                    0.0,
-                    MatMut::from_slice(&mut group.partial, rows, c, Layout::ColMajor),
-                )
-            });
-        }
-        let modes = group.modes.clone();
-        timed_traced("gemv", &mut bd.dgemv, || {
-            multi_ttv(
+            group.form(
+                &self.kernels,
                 pool,
-                &mut self.ttv,
-                &group.partial,
-                &self.dims[modes.clone()],
-                n - modes.start,
-                &factors[modes],
-                c,
-                out,
-            )
-        });
+                x,
+                factors,
+                &mut self.krp_state,
+                &mut bd,
+            );
+        }
+        group.contract(pool, &mut self.ttv, &self.dims, factors, n, out, &mut bd);
         self.next = n + 1;
         bd.total = total_t0.elapsed().as_secs_f64();
         bd
-    }
-}
-
-/// `out ← M_n` from a group partial: column `j` of the partial, a
-/// tensor over the group dims `g`, contracted with column `j` of every
-/// group factor `gf` except local mode `p`. The columns are dealt
-/// across the team; each thread's results land in its slot and are
-/// scattered into the row-major `out` afterwards.
-#[allow(clippy::too_many_arguments)]
-fn multi_ttv<S: Scalar>(
-    pool: &ThreadPool,
-    ttv: &mut Workspace<TtvSlot<S>>,
-    partial: &[S],
-    g: &[usize],
-    p: usize,
-    gf: &[MatRef<S>],
-    c: usize,
-    out: &mut [S],
-) {
-    let total: usize = g.iter().product();
-    let rows = g[p];
-    pool.run_with_workspace(ttv, |_, slot| {
-        for (jj, j) in slot.cols.clone().enumerate() {
-            let sub = &partial[j * total..(j + 1) * total];
-            let col = contract(sub, g, p, gf, j, &mut slot.v, &mut slot.a, &mut slot.b);
-            slot.out[jj * rows..(jj + 1) * rows].copy_from_slice(col);
-        }
-    });
-    for slot in ttv.slots() {
-        for (jj, j) in slot.cols.clone().enumerate() {
-            for (i, &v) in slot.out[jj * rows..(jj + 1) * rows].iter().enumerate() {
-                out[i * c + j] = v;
-            }
-        }
     }
 }
 
@@ -340,7 +378,7 @@ fn multi_ttv<S: Scalar>(
 /// step reads and writes contiguous memory, ping-ponging between `a`
 /// and `b`.
 #[allow(clippy::too_many_arguments)]
-fn contract<'a, S: Scalar>(
+fn contract_column<'a, S: Scalar>(
     sub: &'a [S],
     g: &[usize],
     p: usize,
@@ -397,6 +435,7 @@ fn contract<'a, S: Scalar>(
 mod tests {
     use super::*;
     use crate::oracle::mttkrp_oracle;
+    use crate::{AlgoChoice, MttkrpPlan, TwoStepSide};
     use mttkrp_rng::Rng64;
 
     /// A random tensor and factors of `dims` at rank `c`.
@@ -513,6 +552,44 @@ mod tests {
             assert_eq!(bd.dgemm > 0.0, group_mode, "mode {n}: {bd:?}");
             assert_eq!(bd.lr_krp > 0.0, group_mode, "mode {n}: {bd:?}");
             assert!(bd.dgemv > 0.0 && bd.total >= bd.categorized(), "mode {n}");
+        }
+    }
+
+    /// The per-mode 2-step runs the two-group plan's partial: on
+    /// `[5, 4, 3, 6]` (split 2) its right side at mode 1 and its left
+    /// side at mode 2 equal `DimTreePlan::execute` bit for bit, every
+    /// forced side is bitwise identical across teams of 1, 2 and 3, and
+    /// only a GEMM side of two or more modes forms a KRP.
+    #[test]
+    fn per_mode_two_step_is_the_two_group_partial() {
+        let dims = [5usize, 4, 3, 6];
+        let c = 3;
+        let (x, factors) = setup(&dims, c, 13);
+        let f = refs(&factors, &dims, c);
+        let bits = |v: &[f64]| v.iter().map(|a| a.to_bits()).collect::<Vec<_>>();
+        let run = |t: usize, n: usize, side: TwoStepSide| {
+            let pool = ThreadPool::new(t);
+            let mut plan = MttkrpPlan::new(&pool, &dims, c, n, AlgoChoice::TwoStep(side));
+            let mut out = vec![f64::NAN; dims[n] * c];
+            let bd = plan.execute_timed(&pool, &x, &f, &mut out);
+            (bits(&out), bd)
+        };
+        let pool = ThreadPool::new(2);
+        let mut tree = DimTreePlan::new(&pool, &dims, c);
+        for (n, side) in [(1, TwoStepSide::Right), (2, TwoStepSide::Left)] {
+            let mut want = vec![f64::NAN; dims[n] * c];
+            tree.execute(&pool, &x, &f, n, &mut want);
+            assert_eq!(run(2, n, side).0, bits(&want), "mode {n} {side:?}");
+        }
+        for n in [1, 2] {
+            for side in [TwoStepSide::Left, TwoStepSide::Right] {
+                let (one, bd) = run(1, n, side);
+                let krp_side = (n == 1) == (side == TwoStepSide::Right);
+                assert_eq!(bd.lr_krp > 0.0, krp_side, "mode {n} {side:?}: {bd:?}");
+                for t in [2, 3] {
+                    assert_eq!(run(t, n, side).0, one, "mode {n} {side:?} t={t}");
+                }
+            }
         }
     }
 }

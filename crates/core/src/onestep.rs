@@ -91,7 +91,7 @@ pub fn mttkrp_1step<S: Scalar>(
     n: usize,
     out: &mut [S],
 ) {
-    let _ = mttkrp_1step_impl(pool, x, factors, n, out);
+    let _ = mttkrp_1step_timed(pool, x, factors, n, out);
 }
 
 /// [`mttkrp_1step`] returning the per-phase time breakdown (Figure 6's
@@ -103,22 +103,8 @@ pub fn mttkrp_1step_timed<S: Scalar>(
     n: usize,
     out: &mut [S],
 ) -> Breakdown {
-    mttkrp_1step_impl(pool, x, factors, n, out)
-}
-
-fn mttkrp_1step_impl<S: Scalar>(
-    pool: &ThreadPool,
-    x: &DenseTensor<S>,
-    factors: &[MatRef<S>],
-    n: usize,
-    out: &mut [S],
-) -> Breakdown {
-    let dims = x.dims();
-    assert!(dims.len() >= 2, "MTTKRP requires an order >= 2 tensor");
-    let c = validate_factors(dims, factors);
-    assert!(n < dims.len(), "mode {n} out of range");
-    assert_eq!(out.len(), dims[n] * c, "output must be I_n \u{d7} C");
-    let mut plan = MttkrpPlan::new(pool, dims, c, n, AlgoChoice::OneStep);
+    let c = validate_factors(x.dims(), factors);
+    let mut plan = MttkrpPlan::new(pool, x.dims(), c, n, AlgoChoice::OneStep);
     plan.execute_timed(pool, x, factors, out)
 }
 

@@ -23,8 +23,10 @@
 //!   left/right side of the 2-step partial;
 //! * **pre-allocated workspaces**: per-thread KRP row blocks, private
 //!   `I_n × C` accumulators and Khatri-Rao cursor state held in a
-//!   [`mttkrp_parallel::Workspace`] arena, plus the shared partial-KRP
-//!   and 2-step intermediate buffers.
+//!   [`mttkrp_parallel::Workspace`] arena, the shared left KRP of the
+//!   internal 1-step, and the 2-step's partial MTTKRP — the same
+//!   crate-private type, with its GEMM-side KRP, partial and multi-TTV
+//!   scratch, that [`DimTreePlan`] holds two of (see [`crate::multimode`]).
 //!
 //! [`MttkrpPlan::execute`] then runs the kernel against borrowed tensor
 //! and factor data. Steady-state execution performs **no heap
@@ -66,16 +68,14 @@
 
 use std::ops::Range;
 
-use mttkrp_blas::{
-    gemm_with, kernels, par_gemm_with, par_gemv, KernelSet, Layout, MatMut, MatRef, Scalar,
-};
+use mttkrp_blas::{gemm_with, kernels, KernelSet, Layout, MatMut, MatRef, Scalar};
 use mttkrp_krp::{par_krp_with, KrpState};
 use mttkrp_parallel::{block_range, reduce, ThreadPool, Workspace};
 use mttkrp_tensor::DenseTensor;
 
 use crate::breakdown::{timed, timed_traced, Breakdown};
 use crate::model::{tuned_cost, ModeCost};
-use crate::multimode::DimTreePlan;
+use crate::multimode::{ttv_workspace, DimTreePlan, Partial, TtvSlot};
 use crate::twostep::TwoStepSide;
 use crate::validate_factors;
 
@@ -126,6 +126,9 @@ pub enum PlannedAlgo {
 
 /// Per-thread workspace of the external-mode 1-step executor.
 struct ExtSlot<S: Scalar> {
+    /// This thread's static column range of `X(n)` (empty beyond the
+    /// threads that receive one).
+    cols: Range<usize>,
     /// Private `I_n × C` output accumulator.
     m: Vec<S>,
     /// This thread's KRP row block (`cols × C` for its column range).
@@ -150,46 +153,40 @@ struct IntSlot<S: Scalar> {
     bd: Breakdown,
 }
 
+/// The external-mode 1-step: per-thread KRP row blocks, one GEMM
+/// each, then a reduction.
+struct ExtPlan<S: Scalar> {
+    /// Threads that actually receive a column block.
+    nsplit: usize,
+    /// Factor indices in KRP order (descending, skipping `n`).
+    krp_order: Vec<usize>,
+    ws: Workspace<ExtSlot<S>>,
+}
+
+/// The internal-mode 1-step: a shared left KRP, block-cyclic GEMMs,
+/// then a reduction.
+struct IntPlan<S: Scalar> {
+    ir: usize,
+    /// Factor indices `n−1, …, 0` (left KRP order).
+    left_order: Vec<usize>,
+    /// Factor indices `N−1, …, n+1` (right KRP order).
+    right_order: Vec<usize>,
+    /// Shared left partial KRP (`IL_n × C`).
+    kl: Vec<S>,
+    /// Cursor state for single-thread KL formation.
+    kl_state: KrpState<S>,
+    ws: Workspace<IntSlot<S>>,
+}
+
 enum PlanKind<S: Scalar> {
-    OneStepExternal {
-        /// Threads that actually receive a column block.
-        nsplit: usize,
-        /// Static per-thread column ranges (empty beyond `nsplit`).
-        col_ranges: Vec<Range<usize>>,
-        /// Factor indices in KRP order (descending, skipping `n`).
-        krp_order: Vec<usize>,
-        ws: Workspace<ExtSlot<S>>,
-    },
-    OneStepInternal {
-        ir: usize,
-        /// Factor indices `n−1, …, 0` (left KRP order).
-        left_order: Vec<usize>,
-        /// Factor indices `N−1, …, n+1` (right KRP order).
-        right_order: Vec<usize>,
-        /// Shared left partial KRP (`IL_n × C`).
-        kl: Vec<S>,
-        /// Cursor state for single-thread KL formation.
-        kl_state: KrpState<S>,
-        ws: Workspace<IntSlot<S>>,
-    },
+    OneStepExternal(ExtPlan<S>),
+    OneStepInternal(IntPlan<S>),
+    /// The group `n..N` (left side) or `0..=n` (right side).
     TwoStep {
-        use_left: bool,
-        il: usize,
-        ir: usize,
-        left_order: Vec<usize>,
-        right_order: Vec<usize>,
-        /// Left partial KRP (`IL_n × C`).
-        kl: Vec<S>,
-        /// Right partial KRP (`IR_n × C`).
-        kr: Vec<S>,
+        partial: Partial<S>,
         /// Cursor state for single-thread KRP formation.
         krp_state: KrpState<S>,
-        /// The step-1 intermediate (`I_n·IR_n × C` or `IL_n·I_n × C`).
-        mid: Vec<S>,
-        /// Multi-TTV input column scratch.
-        col_in: Vec<S>,
-        /// Multi-TTV output column scratch.
-        col_out: Vec<S>,
+        ttv: Workspace<TtvSlot<S>>,
     },
 }
 
@@ -324,82 +321,70 @@ impl<S: Scalar> MttkrpPlan<S> {
         let (algo, kind) = if one_step && (il == 1 || ir == 1) {
             let j_total: usize = dims.iter().product::<usize>() / i_n;
             let nsplit = usize::min(t, j_total.max(1));
-            let col_ranges: Vec<Range<usize>> = (0..t)
-                .map(|tid| {
-                    if tid < nsplit {
-                        block_range(j_total, nsplit, tid)
-                    } else {
-                        0..0
-                    }
-                })
-                .collect();
-            let krp_order: Vec<usize> = (0..nmodes).rev().filter(|&k| k != n).collect();
-            let ws = Workspace::new(t, |tid| ExtSlot {
+            let ws = Workspace::new(t, |tid| {
+                let cols = if tid < nsplit {
+                    block_range(j_total, nsplit, tid)
+                } else {
+                    0..0
+                };
+                ExtSlot {
+                    m: vec![S::ZERO; i_n * c],
+                    k: vec![S::ZERO; cols.len() * c],
+                    cols,
+                    krp: KrpState::new(),
+                    bd: Breakdown::default(),
+                }
+            });
+            (
+                PlannedAlgo::OneStepExternal,
+                PlanKind::OneStepExternal(ExtPlan {
+                    nsplit,
+                    krp_order: (0..nmodes).rev().filter(|&k| k != n).collect(),
+                    ws,
+                }),
+            )
+        } else if one_step {
+            let ws = Workspace::new(t, |_| IntSlot {
                 m: vec![S::ZERO; i_n * c],
-                k: vec![S::ZERO; col_ranges[tid].len() * c],
+                kt: vec![S::ZERO; il * c],
+                kr_row: vec![S::ZERO; c],
                 krp: KrpState::new(),
                 bd: Breakdown::default(),
             });
             (
-                PlannedAlgo::OneStepExternal,
-                PlanKind::OneStepExternal {
-                    nsplit,
-                    col_ranges,
-                    krp_order,
+                PlannedAlgo::OneStepInternal,
+                PlanKind::OneStepInternal(IntPlan {
+                    ir,
+                    left_order: (0..n).rev().collect(),
+                    right_order: (n + 1..nmodes).rev().collect(),
+                    kl: vec![S::ZERO; il * c],
+                    kl_state: KrpState::new(),
                     ws,
-                },
+                }),
             )
         } else {
-            let left_order: Vec<usize> = (0..n).rev().collect();
-            let right_order: Vec<usize> = (n + 1..nmodes).rev().collect();
-            if one_step {
-                let ws = Workspace::new(t, |_| IntSlot {
-                    m: vec![S::ZERO; i_n * c],
-                    kt: vec![S::ZERO; il * c],
-                    kr_row: vec![S::ZERO; c],
-                    krp: KrpState::new(),
-                    bd: Breakdown::default(),
-                });
-                (
-                    PlannedAlgo::OneStepInternal,
-                    PlanKind::OneStepInternal {
-                        ir,
-                        left_order,
-                        right_order,
-                        kl: vec![S::ZERO; il * c],
-                        kl_state: KrpState::new(),
-                        ws,
-                    },
-                )
+            let use_left = match choice {
+                AlgoChoice::TwoStep(TwoStepSide::Left) => true,
+                AlgoChoice::TwoStep(TwoStepSide::Right) => false,
+                // Auto / Heuristic / Predicted: the paper's rule.
+                _ => il > ir,
+            };
+            let (algo, modes) = if use_left {
+                (PlannedAlgo::TwoStepLeft, n..nmodes)
             } else {
-                let use_left = match choice {
-                    AlgoChoice::TwoStep(TwoStepSide::Left) => true,
-                    AlgoChoice::TwoStep(TwoStepSide::Right) => false,
-                    // Auto / Heuristic / Predicted: the paper's rule.
-                    _ => il > ir,
-                };
-                let mid_len = if use_left { i_n * ir * c } else { il * i_n * c };
-                (
-                    if use_left {
-                        PlannedAlgo::TwoStepLeft
-                    } else {
-                        PlannedAlgo::TwoStepRight
-                    },
-                    PlanKind::TwoStep {
-                        use_left,
-                        il,
-                        ir,
-                        left_order,
-                        right_order,
-                        kl: vec![S::ZERO; il * c],
-                        kr: vec![S::ZERO; ir * c],
-                        krp_state: KrpState::new(),
-                        mid: vec![S::ZERO; mid_len],
-                        col_in: vec![S::ZERO; usize::max(il, ir)],
-                        col_out: vec![S::ZERO; i_n],
-                    },
-                )
-            }
+                (PlannedAlgo::TwoStepRight, 0..n + 1)
+            };
+            let partial = Partial::new(dims, modes, c);
+            let ttv = ttv_workspace(t, dims, c, std::slice::from_ref(&partial));
+            let krp_state = KrpState::new();
+            (
+                algo,
+                PlanKind::TwoStep {
+                    partial,
+                    krp_state,
+                    ttv,
+                },
+            )
         };
 
         MttkrpPlan {
@@ -469,14 +454,15 @@ impl<S: Scalar> MttkrpPlan<S> {
         self.algo
     }
 
-    /// Address of the first thread's private output buffer — exposed so
-    /// tests can assert workspace-pointer stability across executions
-    /// (the "no per-iteration allocation" property).
+    /// Address of the first thread's private output buffer (the 2-step
+    /// partial) — exposed so tests can assert workspace-pointer
+    /// stability across executions (the "no per-iteration allocation"
+    /// property).
     pub fn workspace_ptr(&self) -> *const S {
         match &self.kind {
-            PlanKind::OneStepExternal { ws, .. } => ws.slot(0).m.as_ptr(),
-            PlanKind::OneStepInternal { ws, .. } => ws.slot(0).m.as_ptr(),
-            PlanKind::TwoStep { mid, .. } => mid.as_ptr(),
+            PlanKind::OneStepExternal(p) => p.ws.slot(0).m.as_ptr(),
+            PlanKind::OneStepInternal(p) => p.ws.slot(0).m.as_ptr(),
+            PlanKind::TwoStep { partial, .. } => partial.as_ptr(),
         }
     }
 
@@ -504,115 +490,57 @@ impl<S: Scalar> MttkrpPlan<S> {
         factors: &[MatRef<S>],
         out: &mut [S],
     ) -> Breakdown {
-        assert_eq!(
-            x.dims(),
-            &self.dims[..],
-            "tensor shape differs from the planned shape"
-        );
-        assert_eq!(
-            pool.num_threads(),
-            self.threads,
-            "pool size differs from the planned team"
-        );
-        let c = validate_factors(&self.dims, factors);
-        assert_eq!(c, self.c, "factor rank differs from the planned rank");
-        let i_n = self.dims[self.n];
-        assert_eq!(out.len(), i_n * c, "output must be I_n × C");
-
-        let _span = mttkrp_obs::span!("mttkrp", mode = self.n);
+        let (n, c) = (self.n, self.c);
+        check_planned(&self.dims, c, self.threads, pool, x, factors, n, out);
+        let _span = mttkrp_obs::span!("mttkrp", mode = n);
         let total_t0 = std::time::Instant::now();
         let mut bd = Breakdown::default();
+        let ks = &self.kernels;
         match &mut self.kind {
-            PlanKind::OneStepExternal {
-                nsplit,
-                col_ranges,
-                krp_order,
-                ws,
-                ..
-            } => {
-                exec_onestep_external(
-                    &self.kernels,
-                    pool,
-                    x,
-                    factors,
-                    self.n,
-                    i_n,
-                    c,
-                    *nsplit,
-                    col_ranges,
-                    krp_order,
-                    ws,
-                    out,
-                    &mut bd,
-                );
-            }
-            PlanKind::OneStepInternal {
-                ir,
-                left_order,
-                right_order,
-                kl,
-                kl_state,
-                ws,
-                ..
-            } => {
-                exec_onestep_internal(
-                    &self.kernels,
-                    pool,
-                    x,
-                    factors,
-                    self.n,
-                    i_n,
-                    c,
-                    *ir,
-                    left_order,
-                    right_order,
-                    kl,
-                    kl_state,
-                    ws,
-                    out,
-                    &mut bd,
-                );
-            }
+            PlanKind::OneStepExternal(p) => p.run(ks, pool, x, factors, n, out, &mut bd),
+            PlanKind::OneStepInternal(p) => p.run(ks, pool, x, factors, n, out, &mut bd),
             PlanKind::TwoStep {
-                use_left,
-                il,
-                ir,
-                left_order,
-                right_order,
-                kl,
-                kr,
+                partial,
                 krp_state,
-                mid,
-                col_in,
-                col_out,
+                ttv,
             } => {
-                exec_twostep(
-                    &self.kernels,
-                    pool,
-                    x,
-                    factors,
-                    self.n,
-                    i_n,
-                    c,
-                    *use_left,
-                    *il,
-                    *ir,
-                    left_order,
-                    right_order,
-                    kl,
-                    kr,
-                    krp_state,
-                    mid,
-                    col_in,
-                    col_out,
-                    out,
-                    &mut bd,
-                );
+                partial.form(ks, pool, x, factors, krp_state, &mut bd);
+                partial.contract(pool, ttv, &self.dims, factors, n, out, &mut bd);
             }
         }
         bd.total = total_t0.elapsed().as_secs_f64();
         bd
     }
+}
+
+/// Panics unless `pool`, `x`, `factors`, mode `n` and the `I_n × C`
+/// `out` of one planned execution match the plan's shape `dims`, rank
+/// `c` and team size `threads`.
+#[allow(clippy::too_many_arguments)]
+pub(crate) fn check_planned<S: Scalar>(
+    dims: &[usize],
+    c: usize,
+    threads: usize,
+    pool: &ThreadPool,
+    x: &DenseTensor<S>,
+    factors: &[MatRef<S>],
+    n: usize,
+    out: &[S],
+) {
+    assert_eq!(
+        x.dims(),
+        dims,
+        "tensor shape differs from the planned shape"
+    );
+    assert_eq!(
+        pool.num_threads(),
+        threads,
+        "pool size differs from the planned team"
+    );
+    let rank = validate_factors(dims, factors);
+    assert_eq!(rank, c, "factor rank differs from the planned rank");
+    assert!(n < dims.len(), "mode {n} out of range");
+    assert_eq!(out.len(), dims[n] * c, "output must be I_n × C");
 }
 
 /// Form the KRP `factors[order[0]] ⊙ …` into `out`: cursor-state path
@@ -638,233 +566,126 @@ pub(crate) fn plan_krp<S: Scalar>(
     }
 }
 
-#[allow(clippy::too_many_arguments)]
-fn exec_onestep_external<S: Scalar>(
-    ks: &KernelSet<S>,
-    pool: &ThreadPool,
-    x: &DenseTensor<S>,
-    factors: &[MatRef<S>],
-    n: usize,
-    i_n: usize,
-    c: usize,
-    nsplit: usize,
-    col_ranges: &[Range<usize>],
-    krp_order: &[usize],
-    ws: &mut Workspace<ExtSlot<S>>,
-    out: &mut [S],
-    bd: &mut Breakdown,
-) {
-    let unf = x.unfold(n);
-    let xv = unf
-        .as_single_view()
-        .expect("external mode is a single strided view");
+impl<S: Scalar> ExtPlan<S> {
+    #[allow(clippy::too_many_arguments)]
+    fn run(
+        &mut self,
+        ks: &KernelSet<S>,
+        pool: &ThreadPool,
+        x: &DenseTensor<S>,
+        factors: &[MatRef<S>],
+        n: usize,
+        out: &mut [S],
+        bd: &mut Breakdown,
+    ) {
+        let (i_n, c) = (x.dims()[n], factors[0].ncols());
+        let unf = x.unfold(n);
+        let xv = unf
+            .as_single_view()
+            .expect("external mode is a single strided view");
+        let krp_order = &self.krp_order;
 
-    pool.run_with_workspace(ws, |ctx, slot| {
-        slot.bd = Breakdown::default();
-        let r = col_ranges[ctx.thread_id].clone();
-        if r.is_empty() {
-            return;
-        }
-        timed_traced("krp", &mut slot.bd.full_krp, || {
-            let mut stream = slot.krp.cursor_with(factors, krp_order, ks);
-            stream.seek(r.start);
-            for row in slot.k.chunks_exact_mut(c) {
-                stream.write_next(row);
+        pool.run_with_workspace(&mut self.ws, |_, slot| {
+            slot.bd = Breakdown::default();
+            let r = slot.cols.clone();
+            if r.is_empty() {
+                return;
             }
-        });
-        timed_traced("gemm", &mut slot.bd.dgemm, || {
-            let xt = xv.submatrix(0, r.start, i_n, r.len());
-            let kt = MatRef::from_slice(&slot.k, r.len(), c, Layout::RowMajor);
-            gemm_with(
-                ks,
-                1.0,
-                xt,
-                kt,
-                0.0,
-                MatMut::from_slice(&mut slot.m, i_n, c, Layout::RowMajor),
-            );
-        });
-    });
-
-    for slot in ws.slots() {
-        bd.full_krp = bd.full_krp.max(slot.bd.full_krp);
-        bd.dgemm = bd.dgemm.max(slot.bd.dgemm);
-    }
-    timed_traced("reduce", &mut bd.reduce, || {
-        reduce_slots(pool, out, ws.slots(), nsplit, |s| &s.m)
-    });
-}
-
-#[allow(clippy::too_many_arguments)]
-fn exec_onestep_internal<S: Scalar>(
-    ks: &KernelSet<S>,
-    pool: &ThreadPool,
-    x: &DenseTensor<S>,
-    factors: &[MatRef<S>],
-    n: usize,
-    i_n: usize,
-    c: usize,
-    ir: usize,
-    left_order: &[usize],
-    right_order: &[usize],
-    kl: &mut [S],
-    kl_state: &mut KrpState<S>,
-    ws: &mut Workspace<IntSlot<S>>,
-    out: &mut [S],
-    bd: &mut Breakdown,
-) {
-    let unf = x.unfold(n);
-    debug_assert_eq!(unf.num_blocks(), ir);
-
-    timed_traced("krp", &mut bd.lr_krp, || {
-        plan_krp(ks, pool, factors, left_order, kl_state, kl, c)
-    });
-    let kl = &*kl;
-
-    pool.run_with_workspace(ws, |ctx, slot| {
-        slot.bd = Breakdown::default();
-        slot.m.fill(S::ZERO);
-        // One detail span for the whole block-cyclic loop; per-block
-        // spans would swamp the trace buffer for large IR_n.
-        let _s = mttkrp_obs::span_full!("block_loop", blocks = ir);
-        let mut stream = slot.krp.cursor_with(factors, right_order, ks);
-        let mut j = ctx.thread_id;
-        while j < ir {
-            timed(&mut slot.bd.lr_krp, || {
-                stream.seek(j);
-                stream.write_next(&mut slot.kr_row);
-                // K_t = KR(j,:) ⊙ KL : scale each KL row.
-                for (kt_row, kl_row) in slot.kt.chunks_exact_mut(c).zip(kl.chunks_exact(c)) {
-                    (ks.hadamard)(&slot.kr_row, kl_row, kt_row);
+            timed_traced("krp", &mut slot.bd.full_krp, || {
+                let mut stream = slot.krp.cursor_with(factors, krp_order, ks);
+                stream.seek(r.start);
+                for row in slot.k.chunks_exact_mut(c) {
+                    stream.write_next(row);
                 }
             });
-            timed(&mut slot.bd.dgemm, || {
-                let ktv = MatRef::from_slice(&slot.kt, slot.kt.len() / c, c, Layout::RowMajor);
+            timed_traced("gemm", &mut slot.bd.dgemm, || {
+                let xt = xv.submatrix(0, r.start, i_n, r.len());
+                let kt = MatRef::from_slice(&slot.k, r.len(), c, Layout::RowMajor);
                 gemm_with(
                     ks,
                     1.0,
-                    unf.block(j),
-                    ktv,
-                    1.0,
+                    xt,
+                    kt,
+                    0.0,
                     MatMut::from_slice(&mut slot.m, i_n, c, Layout::RowMajor),
                 );
             });
-            j += ctx.num_threads;
-        }
-    });
+        });
 
-    let mut phase = Breakdown::default();
-    for slot in ws.slots() {
-        phase.lr_krp = phase.lr_krp.max(slot.bd.lr_krp);
-        phase.dgemm = phase.dgemm.max(slot.bd.dgemm);
+        let phase = Breakdown::max_merge(self.ws.slots().iter().map(|s| &s.bd));
+        (bd.full_krp, bd.dgemm) = (phase.full_krp, phase.dgemm);
+        timed_traced("reduce", &mut bd.reduce, || {
+            reduce_slots(pool, out, self.ws.slots(), self.nsplit, |s| &s.m)
+        });
     }
-    bd.lr_krp += phase.lr_krp;
-    bd.dgemm = phase.dgemm;
-    timed_traced("reduce", &mut bd.reduce, || {
-        reduce_slots(pool, out, ws.slots(), ws.slots().len(), |s| &s.m)
-    });
 }
 
-#[allow(clippy::too_many_arguments)]
-fn exec_twostep<S: Scalar>(
-    ks: &KernelSet<S>,
-    pool: &ThreadPool,
-    x: &DenseTensor<S>,
-    factors: &[MatRef<S>],
-    n: usize,
-    i_n: usize,
-    c: usize,
-    use_left: bool,
-    il: usize,
-    ir: usize,
-    left_order: &[usize],
-    right_order: &[usize],
-    kl: &mut [S],
-    kr: &mut [S],
-    krp_state: &mut KrpState<S>,
-    mid: &mut [S],
-    col_in: &mut [S],
-    col_out: &mut [S],
-    out: &mut [S],
-    bd: &mut Breakdown,
-) {
-    // Lines 2–3: both partial KRPs.
-    timed_traced("krp", &mut bd.lr_krp, || {
-        plan_krp(ks, pool, factors, left_order, krp_state, kl, c);
-        plan_krp(ks, pool, factors, right_order, krp_state, kr, c);
-    });
-    let kl_view = MatRef::from_slice(kl, il, c, Layout::RowMajor);
-    let kr_view = MatRef::from_slice(kr, ir, c, Layout::RowMajor);
+impl<S: Scalar> IntPlan<S> {
+    #[allow(clippy::too_many_arguments)]
+    fn run(
+        &mut self,
+        ks: &KernelSet<S>,
+        pool: &ThreadPool,
+        x: &DenseTensor<S>,
+        factors: &[MatRef<S>],
+        n: usize,
+        out: &mut [S],
+        bd: &mut Breakdown,
+    ) {
+        let (i_n, c, ir) = (x.dims()[n], factors[0].ncols(), self.ir);
+        let unf = x.unfold(n);
+        debug_assert_eq!(unf.num_blocks(), ir);
 
-    let mut out_mat = MatMut::from_slice(out, i_n, c, Layout::RowMajor);
-
-    if use_left {
-        // Line 5: L(0:N−n−1) = X(0:n−1)ᵀ · KL, of shape (I_n·IR_n) × C,
-        // stored column-major (L in natural order with C appended).
-        timed_traced("gemm", &mut bd.dgemm, || {
-            let xt = x.unfold_leading(n - 1).t(); // (I_n·IR_n) × IL_n, row-major
-            par_gemm_with(
+        timed_traced("krp", &mut bd.lr_krp, || {
+            plan_krp(
                 ks,
                 pool,
-                1.0,
-                xt,
-                kl_view,
-                0.0,
-                MatMut::from_slice(mid, i_n * ir, c, Layout::ColMajor),
-            );
+                factors,
+                &self.left_order,
+                &mut self.kl_state,
+                &mut self.kl,
+                c,
+            )
         });
-        // Lines 6–9: M(:,j) = L(0)[j] · KR(:,j); L(0)[j] is the j-th
-        // I_n × IR_n column-major block of L's mode-0 unfolding.
-        timed_traced("gemv", &mut bd.dgemv, || {
-            for j in 0..c {
-                let lj = MatRef::from_slice(
-                    &mid[j * i_n * ir..(j + 1) * i_n * ir],
-                    i_n,
-                    ir,
-                    Layout::ColMajor,
-                );
-                for (i, dst) in col_in[..ir].iter_mut().enumerate() {
-                    *dst = kr_view.get(i, j);
-                }
-                par_gemv(pool, 1.0, lj, &col_in[..ir], 0.0, col_out);
-                for (i, &v) in col_out.iter().enumerate() {
-                    out_mat.set(i, j, v);
-                }
+        let (kl, right_order) = (&self.kl, &self.right_order);
+
+        pool.run_with_workspace(&mut self.ws, |ctx, slot| {
+            slot.bd = Breakdown::default();
+            slot.m.fill(S::ZERO);
+            // One detail span for the whole block-cyclic loop; per-block
+            // spans would swamp the trace buffer for large IR_n.
+            let _s = mttkrp_obs::span_full!("block_loop", blocks = ir);
+            let mut stream = slot.krp.cursor_with(factors, right_order, ks);
+            let mut j = ctx.thread_id;
+            while j < ir {
+                timed(&mut slot.bd.lr_krp, || {
+                    stream.seek(j);
+                    stream.write_next(&mut slot.kr_row);
+                    // K_t = KR(j,:) ⊙ KL : scale each KL row.
+                    for (kt_row, kl_row) in slot.kt.chunks_exact_mut(c).zip(kl.chunks_exact(c)) {
+                        (ks.hadamard)(&slot.kr_row, kl_row, kt_row);
+                    }
+                });
+                timed(&mut slot.bd.dgemm, || {
+                    let ktv = MatRef::from_slice(&slot.kt, slot.kt.len() / c, c, Layout::RowMajor);
+                    gemm_with(
+                        ks,
+                        1.0,
+                        unf.block(j),
+                        ktv,
+                        1.0,
+                        MatMut::from_slice(&mut slot.m, i_n, c, Layout::RowMajor),
+                    );
+                });
+                j += ctx.num_threads;
             }
         });
-    } else {
-        // Line 11: R(0:n) = X(0:n) · KR, of shape (IL_n·I_n) × C,
-        // stored column-major (R in natural order with C appended).
-        timed_traced("gemm", &mut bd.dgemm, || {
-            let xv = x.unfold_leading(n); // (IL_n·I_n) × IR_n, column-major
-            par_gemm_with(
-                ks,
-                pool,
-                1.0,
-                xv,
-                kr_view,
-                0.0,
-                MatMut::from_slice(mid, il * i_n, c, Layout::ColMajor),
-            );
-        });
-        // Lines 12–15: M(:,j) = R(n)[j] · KL(:,j); R(n)[j] is the j-th
-        // I_n × IL_n row-major block of R's mode-n unfolding.
-        timed_traced("gemv", &mut bd.dgemv, || {
-            for j in 0..c {
-                let rj = MatRef::from_slice(
-                    &mid[j * il * i_n..(j + 1) * il * i_n],
-                    i_n,
-                    il,
-                    Layout::RowMajor,
-                );
-                for (i, dst) in col_in[..il].iter_mut().enumerate() {
-                    *dst = kl_view.get(i, j);
-                }
-                par_gemv(pool, 1.0, rj, &col_in[..il], 0.0, col_out);
-                for (i, &v) in col_out.iter().enumerate() {
-                    out_mat.set(i, j, v);
-                }
-            }
+
+        let phase = Breakdown::max_merge(self.ws.slots().iter().map(|s| &s.bd));
+        bd.lr_krp += phase.lr_krp;
+        bd.dgemm = phase.dgemm;
+        timed_traced("reduce", &mut bd.reduce, || {
+            reduce_slots(pool, out, self.ws.slots(), self.ws.slots().len(), |s| &s.m)
         });
     }
 }

@@ -7,13 +7,17 @@
 //! variant). The side is chosen to minimize the flops of step 2
 //! (`IL_n > IR_n ⇒ left`, Algorithm 4 line 4).
 //!
-//! Step 2 — *multi-TTV* — combines the intermediate with the remaining
-//! factors one output column at a time; each column is a GEMV on a
-//! contiguous (row- or column-major) block of the intermediate.
+//! Step 2 — *multi-TTV* — contracts column `j` of the partial with
+//! column `j` of every remaining factor, one GEMV per mode, so the
+//! TTV-side KRP is never formed. The columns are dealt across the team
+//! in static blocks, so the result does not depend on the team size.
 //!
-//! For external modes the 2-step algorithm degenerates to the 1-step
-//! algorithm (the partial MTTKRP already is the answer), so this module
-//! delegates those modes to [`crate::onestep`].
+//! Both steps are the partial MTTKRP of [`crate::multimode`]: the left
+//! variant is its suffix group `n..N`, the right variant its prefix
+//! group `0..=n`, the same code the two-group sweep runs. For external
+//! modes the 2-step algorithm degenerates to the 1-step algorithm (the
+//! partial MTTKRP already is the answer), so those modes plan the
+//! 1-step kernel of [`crate::onestep`].
 
 use mttkrp_blas::{MatRef, Scalar};
 use mttkrp_parallel::ThreadPool;
@@ -34,8 +38,8 @@ pub enum TwoStepSide {
     Right,
 }
 
-/// 2-step MTTKRP (Algorithm 4). Parallelism lives inside the BLAS calls,
-/// exactly as in the paper. Output is row-major `I_n × C`, overwritten.
+/// 2-step MTTKRP (Algorithm 4): a parallel partial GEMM, then a
+/// column-dealt multi-TTV. Output is row-major `I_n × C`, overwritten.
 ///
 /// External modes delegate to the (equivalent) 1-step algorithm.
 pub fn mttkrp_2step<S: Scalar>(
@@ -45,7 +49,7 @@ pub fn mttkrp_2step<S: Scalar>(
     n: usize,
     out: &mut [S],
 ) {
-    let _ = mttkrp_2step_impl(pool, x, factors, n, out, TwoStepSide::Auto);
+    let _ = mttkrp_2step_timed(pool, x, factors, n, out, TwoStepSide::Auto);
 }
 
 /// [`mttkrp_2step`] with an explicit side choice (the left-vs-right
@@ -58,23 +62,8 @@ pub fn mttkrp_2step_timed<S: Scalar>(
     out: &mut [S],
     side: TwoStepSide,
 ) -> Breakdown {
-    mttkrp_2step_impl(pool, x, factors, n, out, side)
-}
-
-fn mttkrp_2step_impl<S: Scalar>(
-    pool: &ThreadPool,
-    x: &DenseTensor<S>,
-    factors: &[MatRef<S>],
-    n: usize,
-    out: &mut [S],
-    side: TwoStepSide,
-) -> Breakdown {
-    let dims = x.dims();
-    assert!(dims.len() >= 2, "MTTKRP requires an order >= 2 tensor");
-    let c = validate_factors(dims, factors);
-    assert!(n < dims.len(), "mode {n} out of range");
-    assert_eq!(out.len(), dims[n] * c, "output must be I_n \u{d7} C");
-    let mut plan = MttkrpPlan::new(pool, dims, c, n, AlgoChoice::TwoStep(side));
+    let c = validate_factors(x.dims(), factors);
+    let mut plan = MttkrpPlan::new(pool, x.dims(), c, n, AlgoChoice::TwoStep(side));
     plan.execute_timed(pool, x, factors, out)
 }
 
@@ -123,19 +112,27 @@ mod tests {
         }
     }
 
+    /// Every side on every internal mode matches the oracle, written
+    /// over a NaN-filled (stale) output.
     #[test]
     fn matches_oracle_internal_modes() {
-        for dims in [vec![4usize, 3, 5], vec![3, 4, 2, 3], vec![2, 3, 2, 2, 2]] {
-            let c = 3;
+        let cases = [
+            (vec![4usize, 3, 5], 3, 2),
+            (vec![3, 4, 2, 3], 3, 2),
+            (vec![2, 3, 2, 2, 2], 3, 2),
+        ];
+        for (dims, c, t) in cases {
             let (x, factors) = setup(&dims, c);
             let refs = factor_refs(&factors, &dims, c);
-            let pool = ThreadPool::new(2);
+            let pool = ThreadPool::new(t);
             for n in 1..dims.len() - 1 {
                 let mut want = vec![0.0; dims[n] * c];
-                let mut got = vec![0.0; dims[n] * c];
                 mttkrp_oracle(&x, &refs, n, &mut want);
-                mttkrp_2step(&pool, &x, &refs, n, &mut got);
-                assert_close(&got, &want, &format!("dims {dims:?} mode {n}"));
+                for side in [TwoStepSide::Auto, TwoStepSide::Left, TwoStepSide::Right] {
+                    let mut got = vec![f64::NAN; dims[n] * c];
+                    mttkrp_2step_timed(&pool, &x, &refs, n, &mut got, side);
+                    assert_close(&got, &want, &format!("dims {dims:?} mode {n} {side:?}"));
+                }
             }
         }
     }

@@ -22,7 +22,8 @@
 //! **once per model** and reuses it every sweep: [`cp_als`] holds the
 //! backend's sweep plans (the two-group plan, or one cached plan per
 //! mode — algorithm choice, partition schedule, and per-thread
-//! workspaces), [`cp_als_nn`] an `mttkrp_core::MttkrpPlanSet`, and
+//! workspaces), [`cp_als_nn`] the same sweep plans as an
+//! `mttkrp_core::MttkrpPlanSet`, and
 //! [`cp_gradient_planned`] accepts caller-held sweep plans, so
 //! steady-state iterations perform no per-iteration allocation in the
 //! MTTKRP path.

@@ -3,10 +3,10 @@
 //!
 //! The paper's related work (§2.4) includes Liavas et al.'s parallel
 //! *nonnegative* CP; this module provides that capability. Each mode
-//! update reuses exactly the per-mode MTTKRP dispatch (so all of the
-//! paper's kernel speedups carry over — MTTKRP still dominates), and
-//! then performs rank-one HALS column updates with a nonnegativity
-//! clamp instead of the unconstrained pseudoinverse solve:
+//! update takes its MTTKRP from the same sweep plans as `cp_als` (so
+//! all of the paper's kernel speedups carry over — MTTKRP still
+//! dominates), and then performs rank-one HALS column updates with a
+//! nonnegativity clamp instead of the unconstrained pseudoinverse solve:
 //!
 //! `U_n(:,c) ← max(0, U_n(:,c) + (M(:,c) − U_n·H(:,c)) / H(c,c))`
 //!
@@ -29,7 +29,9 @@ const HALS_FLOOR: f64 = 1e-16;
 ///
 /// The initial model must be elementwise nonnegative
 /// ([`KruskalModel::random`] qualifies). The `strategy` option is
-/// ignored; the per-mode auto dispatch is always used.
+/// ignored: an order ≥ 3 tensor runs the two-group sweep
+/// (`MttkrpPlanSet::for_sweep` under the heuristic), an order-2 tensor
+/// the per-mode heuristic plans.
 ///
 /// # Panics
 /// Panics if the initial factors contain negative entries.
@@ -81,9 +83,10 @@ pub fn cp_als_nn(
     let mut m_buf = vec![0.0; dims.iter().copied().max().unwrap() * c];
     let mut prev_fit = f64::NEG_INFINITY;
 
-    // Same plan reuse as `cp_als`: one plan set per model, reused every
-    // sweep (the per-mode heuristic dispatch is always used here).
-    let mut plans = MttkrpPlanSet::new(pool, &dims, c, AlgoChoice::Heuristic);
+    // Same plans as `cp_als`, built once per model. Only factor `n`
+    // changes after mode `n`'s MTTKRP, the in-sweep call order the
+    // two-group plan reuses its partials under.
+    let mut plans = MttkrpPlanSet::for_sweep(pool, &dims, c, AlgoChoice::Heuristic);
 
     let mut last_mode_m = vec![0.0; dims[nmodes - 1] * c];
     for _iter in 0..opts.max_iters {
@@ -94,7 +97,7 @@ pub fn cp_als_nn(
             let m = &mut m_buf[..rows * c];
             let bd = {
                 let refs = model.factor_refs();
-                plans.execute_timed(pool, x, &refs, n, m)
+                plans.execute_in_sweep(pool, x, &refs, n, m)
             };
             report.mttkrp_time += bd.total;
             report.breakdown.accumulate(&bd);
@@ -253,6 +256,24 @@ mod tests {
         let (model, report) = cp_als_nn(&pool, &x, KruskalModel::random(&dims, 2, 8), &opts);
         assert!(report.final_fit() > 0.95, "fit = {}", report.final_fit());
         assert!(model.lambda.iter().all(|&l| l >= 0.0));
+    }
+
+    /// On a 4-way tensor HALS runs the two-group sweep: only modes 0
+    /// and 2 form a partial GEMM.
+    #[test]
+    fn four_way_sweep_forms_partials_at_modes_0_and_2() {
+        let dims = [4usize, 5, 3, 4];
+        let x = planted_nonneg(&dims, 2, 7);
+        let pool = ThreadPool::new(1);
+        let opts = CpAlsOptions {
+            max_iters: 3,
+            tol: 0.0,
+            ..Default::default()
+        };
+        let (_, report) = cp_als_nn(&pool, &x, KruskalModel::random(&dims, 2, 8), &opts);
+        for (n, bd) in report.mode_breakdowns.iter().enumerate() {
+            assert_eq!(bd.dgemm > 0.0, n == 0 || n == 2, "mode {n}: {bd:?}");
+        }
     }
 
     #[test]

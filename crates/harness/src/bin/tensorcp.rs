@@ -41,7 +41,7 @@
 //! `decompose --perf-report FILE` additionally prices the sweep's
 //! per-mode MTTKRP breakdowns against the loaded tuning profile's
 //! bandwidth/compute roofs and writes the `mttkrp-perf-v1` report
-//! (requires `MTTKRP_TUNE_PROFILE`; in-core `nn`, or `als` on an
+//! (requires `MTTKRP_TUNE_PROFILE`; in-core `als` or `nn` on an
 //! order-2 tensor: the per-mode sweeps).
 
 use std::collections::HashMap;
@@ -157,7 +157,7 @@ fn usage() {
                       [--iters N] [--tol T] [--threads T] [--model-out FILE]\n\
                       [--dtype f32|f64] (default: the file's stored dtype)\n\
                       [--perf-report FILE] (roofline attribution of the sweep;\n\
-                      needs a tuning profile; in-core nn, or als on order 2)\n\
+                      needs a tuning profile; in-core order-2 tensors)\n\
                       [--ooc [--budget-mb N] [--tile AxBxC]]  (stream from disk)\n\
            info       --input FILE   (dense .mtkt or tile-store .mttb)\n\
            profile    --input FILE [--rank R] [--threads T] [--dtype f32|f64]\n\
@@ -570,8 +570,8 @@ fn perf_report_out<S: Scalar>(
     choice: AlgoChoice,
     report: &CpAlsReport,
 ) -> CliResult {
-    if choice == AlgoChoice::Tuned && dims.len() >= 3 {
-        // `als` on an order >= 3 tensor ran the two-group sweep
+    if dims.len() >= 3 {
+        // `als` and `nn` on an order >= 3 tensor ran the two-group sweep
         // (`MttkrpPlanSet::for_sweep`), whose partial GEMMs serve every
         // mode; the roofline bridge prices per-mode kernels.
         eprintln!(

@@ -88,18 +88,22 @@ pub fn predict_2step(m: &Machine, dims: &[usize], n: usize, c: usize, t: usize) 
     let i_n = info.dim(n);
     let il = info.i_left(n);
     let ir = info.i_right(n);
-    let mut bd = Breakdown {
-        lr_krp: m.krp_time(il, c, n, true, t) + m.krp_time(ir, c, nmodes - 1 - n, true, t),
-        ..Breakdown::default()
-    };
-    if il > ir {
+    let mut bd = Breakdown::default();
+    let (krp_rows, krp_modes) = if il > ir {
         // Left: L = X(0:n−1)ᵀ·KL is (I_n·IR_n) × C ← GEMM k = IL_n.
         bd.dgemm = m.gemm_time(i_n * ir, c, il, t, true);
         bd.dgemv = m.gemv_time(i_n, ir, c, t);
+        (il, n)
     } else {
         // Right: R = X(0:n)·KR is (IL_n·I_n) × C ← GEMM k = IR_n.
         bd.dgemm = m.gemm_time(il * i_n, c, ir, t, true);
         bd.dgemv = m.gemv_time(i_n, il, c, t);
+        (ir, nmodes - 1 - n)
+    };
+    // Only the GEMM side's KRP is formed, and only when that side spans
+    // two or more modes; the multi-TTV reads the other factors directly.
+    if krp_modes > 1 {
+        bd.lr_krp = m.krp_time(krp_rows, c, krp_modes, true, t);
     }
     bd.total = bd.categorized();
     bd

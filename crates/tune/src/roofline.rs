@@ -10,7 +10,9 @@
 //! [`ModeRun`] per executed mode into a [`PerfReport`]:
 //!
 //! * KRP phases write `rows·C` Hadamard-combined elements (write +
-//!   read-for-ownership traffic) against the `hadamard_cost` rate;
+//!   read-for-ownership traffic) against the `hadamard_cost` rate; a
+//!   2-step mode forms only its GEMM side's KRP (`IL_n` rows on the
+//!   left, `IR_n` on the right);
 //! * GEMM uses the measured `blas.gemm_bytes.<tier>` counter when the
 //!   caller snapshotted it (falling back to the analytic operand
 //!   traffic) against the tier's `gemm_flops / gemm_eff0` peak;
@@ -170,11 +172,18 @@ pub fn perf_report_with(
             });
         }
         if bd.lr_krp > 0.0 {
+            // The 2-step forms only its GEMM side's KRP (and none when
+            // that side is one mode, so it records no `lr_krp`).
+            let krp_rows = match run.algo {
+                PlannedAlgo::TwoStepLeft => sh.il,
+                PlannedAlgo::TwoStepRight => sh.ir,
+                _ => sh.il + sh.ir,
+            };
             samples.push(PhaseSample {
                 name: "lr_krp".into(),
                 seconds: bd.lr_krp,
-                bytes: reps * (sh.il + sh.ir) * sh.c * 2.0 * sh.s,
-                flops: reps * (sh.il + sh.ir) * sh.c,
+                bytes: reps * krp_rows * sh.c * 2.0 * sh.s,
+                flops: reps * krp_rows * sh.c,
                 bw_roof: bw,
                 flop_roof: krp_roof,
             });

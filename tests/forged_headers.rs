@@ -7,18 +7,23 @@
 //!
 //! Every reader is also fuzzed by one seeded loop of truncations, bit
 //! flips and forged header words: over a valid MTKS file whose first
-//! mode has 2^60 indices (loaded, then compressed into CSF trees), and
-//! over small valid MTKT v1 (`f64`), MTKT v2 (`f32`) and MTKM files. No
-//! case may panic, and each stays within the same allocation bound.
+//! mode has 2^60 indices (loaded, then compressed into CSF trees), over
+//! small valid MTKT v1 (`f64`), MTKT v2 (`f32`) and MTKM files, and
+//! over the two text parsers, a tuning profile and a daemon submit line
+//! (a mutation that is not UTF-8 counts as an error). No case may
+//! panic, and each stays within the same allocation bound.
 
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;
 
 use counting_alloc::{counted, CountingAlloc};
+use mttkrp_repro::blas::KernelTier;
 use mttkrp_repro::ooc::TileStore;
 use mttkrp_repro::rng::Rng64;
+use mttkrp_repro::serve::JobRequest;
 use mttkrp_repro::sparse::{CooTensor, CsfTensor};
 use mttkrp_repro::tensor::DenseTensor;
+use mttkrp_repro::tune::{TierTuning, TuningProfile};
 use mttkrp_repro::workloads::io::{
     model_to_bytes, sparse_from_bytes, sparse_to_bytes, tensor_to_bytes,
 };
@@ -253,5 +258,56 @@ fn mutated_model_files_never_panic_and_allocate_within_their_input() {
     let words = [(4, 4), (8, 4), (12, 4), (16, 8), (24, 8), (32, 8)];
     mutation_loop("MTKM", &model_to_bytes(&model), &words, 0x7E45_0003, |b| {
         alloc_of(|| read_model_from(&mut { b }, b.len() as u64))
+    });
+}
+
+/// `(byte offset, 4)` just after each of `keys` in `text`: the values
+/// the text mutation loops forge.
+fn value_words(text: &str, keys: &[&str]) -> Vec<(usize, usize)> {
+    let at = |key: &str| text.find(key).expect("key in the valid text") + key.len();
+    keys.iter().map(|&key| (at(key), 4)).collect()
+}
+
+#[test]
+fn mutated_tuning_profiles_never_panic_and_allocate_within_their_input() {
+    let tier = |tier, gemm_flops| TierTuning {
+        tier,
+        gemm_flops,
+        gemm_eff0: 0.9,
+        hadamard_cost: 7.5e-10,
+    };
+    let profile = TuningProfile {
+        cores: 4,
+        threads: 4,
+        bw1: 2.65e10,
+        bw_theta: 11.4,
+        reduce_scale: 0.74,
+        mkl_penalty: 0.0,
+        calib_err: Some(2.8e-2),
+        tiers: vec![
+            tier(KernelTier::Scalar, 8.9e9),
+            tier(KernelTier::Avx512, 3e10),
+        ],
+    };
+    let text = profile.to_text();
+    assert_eq!(TuningProfile::from_text(&text).unwrap(), profile);
+    let keys = ["v", "cores = ", "bw1 = ", "[tier ", "gemm_eff0 = "];
+    let words = value_words(&text, &keys);
+    mutation_loop("profile", text.as_bytes(), &words, 0x7E45_0004, |b| {
+        alloc_of(|| std::str::from_utf8(b).map(TuningProfile::from_text))
+    });
+}
+
+#[test]
+fn mutated_submit_lines_never_panic_and_allocate_within_their_input() {
+    let line = concat!(
+        r#"{"v":"mttkrp-jobs-v1","op":"submit","id":"job-1","spec":{"path":"/data/x.mtkt","#,
+        r#""format":"dense","rank":8,"max_iters":25,"tol":1e-6,"threads":2,"seed":7}}"#
+    );
+    assert!(JobRequest::parse(line).is_ok());
+    let keys = [r#""v":"#, r#""rank":"#, r#""max_iters":"#, r#""threads":"#];
+    let words = value_words(line, &keys);
+    mutation_loop("submit line", line.as_bytes(), &words, 0x7E45_0005, |b| {
+        alloc_of(|| std::str::from_utf8(b).map(JobRequest::parse))
     });
 }
