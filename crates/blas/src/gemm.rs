@@ -31,15 +31,23 @@
 //! whole `k` loop in a packed copy of the `C` block, which is written
 //! into `C` once: `β = 0` stores `α·C_pack` without reading `C` (so NaN
 //! in uninitialized output cannot leak in), any other `β` folds
-//! `β·C + α·C_pack` into that same pass. When `k` fits one `k`-block,
-//! `B` is packed once per call rather than once per row block.
+//! `β·C + α·C_pack` into that same pass. `B` is packed once per call
+//! rather than once per row block when `k` fits one `k`-block, or when
+//! all `k × nc` of it fits [`B_ONCE_BYTES`] and there is more than one
+//! row block to serve.
+//!
+//! `B` is either a strided [`MatRef`] or a [`KrpRef`]: a Khatri-Rao
+//! product of row-major factors that is never formed. The pack
+//! generates each KRP row straight into the panels, one Hadamard
+//! product of factor rows per row, so the MTTKRP partial GEMMs read only
+//! the tensor and the factors ([`gemm_krp_with`], [`par_gemm_krp_with`]).
 //!
 //! [`par_gemm`] statically partitions the larger output dimension across
 //! a thread pool, mirroring how the paper invokes multithreaded MKL.
 
 use mttkrp_parallel::{block_range, ThreadPool};
 
-use crate::kernels::{kernels, KernelSet, MAX_MR};
+use crate::kernels::{kernels, KernelSet, MAX_MR, MAX_NR};
 use crate::mat::{MatMut, MatRef};
 use crate::scalar::Scalar;
 
@@ -52,6 +60,10 @@ const KC_BYTES: usize = 2048;
 const MC: usize = 256;
 /// N-dimension cache block (packed B block is `kc × NC`).
 const NC: usize = 1024;
+/// Largest `k × nc` B block packed once per call when `k` spans several
+/// `k`-blocks: about half an L2, so it stays resident while every row
+/// block streams past it.
+const B_ONCE_BYTES: usize = 256 << 10;
 /// Byte alignment of the packed panels: one cache line, so no vector
 /// load of a micro-panel straddles two lines.
 const PACK_ALIGN: usize = 64;
@@ -72,6 +84,34 @@ pub fn gemm_with<S: Scalar>(
     alpha: f64,
     a: MatRef<S>,
     b: MatRef<S>,
+    beta: f64,
+    c: MatMut<S>,
+) {
+    gemm_op(ks, alpha, a, b, beta, c)
+}
+
+/// [`gemm_with`] whose `B` is the Khatri-Rao product `b`, generated in
+/// the pack. The result equals [`gemm_with`] on the materialised KRP
+/// bit for bit.
+///
+/// # Panics
+/// Panics on dimension mismatch (`A: m×k`, `B: k×n`, `C: m×n`).
+pub fn gemm_krp_with<S: Scalar>(
+    ks: &KernelSet<S>,
+    alpha: f64,
+    a: MatRef<S>,
+    b: KrpRef<S>,
+    beta: f64,
+    c: MatMut<S>,
+) {
+    gemm_op(ks, alpha, a, b, beta, c)
+}
+
+fn gemm_op<S: Scalar, B: Operand<S>>(
+    ks: &KernelSet<S>,
+    alpha: f64,
+    a: MatRef<S>,
+    b: B,
     beta: f64,
     mut c: MatMut<S>,
 ) {
@@ -110,16 +150,22 @@ pub fn gemm_with<S: Scalar>(
     // grow-only, so repeated GEMM calls (one per tensor block) neither
     // re-allocate nor re-zero them once a CP-ALS sweep has sized them.
     let mc = MC.min(m.next_multiple_of(ks.mr()));
-    let (kc, nc) = (kc_max::<S>().min(k), NC.min(n));
+    let (kc, nc) = (k_block::<S>().min(k), NC.min(n));
+    let b_once = k == kc || (m > MC && k * nc * std::mem::size_of::<S>() <= B_ONCE_BYTES);
+    let kb = if b_once { k } else { kc };
     S::with_pack_buffers(|a_buf, bc_buf| {
         let a_pack = aligned(a_buf, mc * kc);
-        let (b_pack, c_pack) = aligned(bc_buf, kc * nc + mc * nc).split_at_mut(kc * nc);
-        gemm_blocked(ks, alpha, &a, &b, beta, &mut c, a_pack, b_pack, c_pack);
+        let (b_pack, c_pack) = aligned(bc_buf, kb * nc + mc * nc).split_at_mut(kb * nc);
+        gemm_blocked(
+            ks, alpha, &a, &b, beta, &mut c, b_once, a_pack, b_pack, c_pack,
+        );
     });
 }
 
-/// The `k`-block of element type `S`: [`KC_BYTES`] of it.
-const fn kc_max<S>() -> usize {
+/// The `k`-block of element type `S`, [`KC_BYTES`] of it (256 `f64`,
+/// 512 `f32`): a caller splitting a long `k` into separate GEMMs cuts
+/// at its multiples, so every chunk runs whole blocks.
+pub const fn k_block<S: Scalar>() -> usize {
     KC_BYTES / std::mem::size_of::<S>()
 }
 
@@ -182,7 +228,7 @@ fn record_gemm_metrics<S: Scalar>(
 
 /// Unpacked accumulation kernel for small problems:
 /// `C += α·A·B` (C already scaled by β).
-fn small_kernel<S: Scalar>(alpha: f64, a: &MatRef<S>, b: &MatRef<S>, c: &mut MatMut<S>) {
+fn small_kernel<S: Scalar, B: Operand<S>>(alpha: f64, a: &MatRef<S>, b: &B, c: &mut MatMut<S>) {
     let (m, k) = (a.nrows(), a.ncols());
     let n = b.ncols();
     let alpha = S::from_f64(alpha);
@@ -190,7 +236,8 @@ fn small_kernel<S: Scalar>(alpha: f64, a: &MatRef<S>, b: &MatRef<S>, c: &mut Mat
         for j in 0..n {
             let mut s = S::ZERO;
             for p in 0..k {
-                s += unsafe { a.get_unchecked(i, p) * b.get_unchecked(p, j) };
+                // SAFETY: `i < m`, `p < k` and `j < n` index A and B.
+                s += unsafe { a.get_unchecked(i, p) * b.at(p, j) };
             }
             unsafe {
                 let old = c.get_unchecked(i, j);
@@ -210,14 +257,18 @@ fn panel_width(nc: usize, np: usize, q: usize) -> usize {
 /// The packed, blocked path of [`gemm`]: for each `MC` block of rows,
 /// the tiles of a packed `C` block accumulate over all of `k` before
 /// one `C ← α·C_pack + β·C`, the only pass over that block of `C`.
+/// With `b_once`, `b_pack` holds all `k` rows of each `B` panel, packed
+/// once per column block; otherwise one `k`-block of them, packed per
+/// row block.
 #[allow(clippy::too_many_arguments)]
-fn gemm_blocked<S: Scalar>(
+fn gemm_blocked<S: Scalar, B: Operand<S>>(
     ks: &KernelSet<S>,
     alpha: f64,
     a: &MatRef<S>,
-    b: &MatRef<S>,
+    b: &B,
     beta: f64,
     c: &mut MatMut<S>,
+    b_once: bool,
     a_pack: &mut [S],
     b_pack: &mut [S],
     c_pack: &mut [S],
@@ -225,16 +276,14 @@ fn gemm_blocked<S: Scalar>(
     let (m, k) = (a.nrows(), a.ncols());
     let n = b.ncols();
     let mr = ks.mr();
-    let kc_max = kc_max::<S>();
-    // With a single k-block the packed B serves every row block.
-    let b_once = k <= kc_max;
+    let kc_max = k_block::<S>();
 
     let mut jc = 0;
     while jc < n {
         let nc = usize::min(NC, n - jc);
         let np = nc.div_ceil(ks.nr());
         if b_once {
-            pack_b(b_pack, &b.submatrix(0, jc, k, nc), np);
+            pack_b(b_pack, b, 0, k, jc, nc, np);
         }
         let mut ic = 0;
         while ic < m {
@@ -245,21 +294,26 @@ fn gemm_blocked<S: Scalar>(
             let mut pc = 0;
             while pc < k {
                 let kc = usize::min(kc_max, k - pc);
-                if !b_once {
-                    pack_b(b_pack, &b.submatrix(pc, jc, kc, nc), np);
-                }
+                // Panel `q` of width `w` starting at column `j0` holds
+                // `kb` rows from row `p0` at `b_pack[kb·j0..]`.
+                let (kb, p_in) = if b_once {
+                    (k, pc)
+                } else {
+                    pack_b(b_pack, b, pc, kc, jc, nc, np);
+                    (kc, 0)
+                };
                 let (t_stride, lda) = pack_a(ks, a_pack, &a.submatrix(ic, pc, mc, kc));
                 // One B panel stays in L1 while the A tiles of the block
                 // stream past it.
-                let (mut b_off, mut c_off) = (0, 0);
+                let (mut j0, mut c_off) = (0, 0);
                 for q in 0..np {
                     let w = panel_width(nc, np, q);
-                    let b_panel = &b_pack[b_off..b_off + kc * w];
+                    let b_panel = &b_pack[kb * j0 + p_in * w..][..kc * w];
                     for t in 0..mt {
                         let tile = &mut c_pack[c_off + t * mr * w..c_off + (t + 1) * mr * w];
                         (ks.gemm_micro)(kc, w, &a_pack[t * t_stride..], lda, b_panel, tile);
                     }
-                    b_off += kc * w;
+                    j0 += w;
                     c_off += mt * mr * w;
                 }
                 pc += kc_max;
@@ -344,29 +398,235 @@ fn pack_a<S: Scalar>(ks: &KernelSet<S>, a_pack: &mut [S], a: &MatRef<S>) -> (usi
     (kc * mr, mr)
 }
 
-/// Pack the `kc × nc` block `b` into `np` panels of exact, near-equal
-/// width `w` ([`panel_width`]), row-major within each
-/// (`b_pack[offset + p·w + j]`). No column is padded.
-fn pack_b<S: Scalar>(b_pack: &mut [S], b: &MatRef<S>, np: usize) {
-    let (kc, nc) = (b.nrows(), b.ncols());
-    let (mut off, mut j0) = (0, 0);
+/// Pack rows `p0..p0 + kb` of columns `jc..jc + nc` of `b` into `np`
+/// panels of exact, near-equal width `w` ([`panel_width`]), row-major
+/// within each (`b_pack[kb·j0 + p·w + j]` for the panel starting at
+/// column `j0`). No column is padded.
+fn pack_b<S: Scalar, B: Operand<S>>(
+    b_pack: &mut [S],
+    b: &B,
+    p0: usize,
+    kb: usize,
+    jc: usize,
+    nc: usize,
+    np: usize,
+) {
+    let mut j0 = 0;
     for q in 0..np {
         let w = panel_width(nc, np, q);
-        let panel = &mut b_pack[off..off + kc * w];
+        b.pack_panel(p0, jc + j0, &mut b_pack[kb * j0..kb * (j0 + w)], w);
+        j0 += w;
+    }
+}
+
+/// A GEMM `B` operand: what the small kernel reads entry by entry and
+/// what [`pack_b`] packs panel by panel.
+trait Operand<S: Scalar>: Copy + Sync {
+    fn nrows(&self) -> usize;
+    fn ncols(&self) -> usize;
+    /// Columns `j..j + n`.
+    fn cols(self, j: usize, n: usize) -> Self;
+    /// Entry `(p, j)`.
+    ///
+    /// # Safety
+    /// `p < nrows` and `j < ncols`.
+    unsafe fn at(&self, p: usize, j: usize) -> S;
+    /// Rows `p0..p0 + dst.len() / w` of columns `j0..j0 + w` into the
+    /// row-major `dst`.
+    fn pack_panel(&self, p0: usize, j0: usize, dst: &mut [S], w: usize);
+}
+
+impl<S: Scalar> Operand<S> for MatRef<'_, S> {
+    fn nrows(&self) -> usize {
+        MatRef::nrows(self)
+    }
+    fn ncols(&self) -> usize {
+        MatRef::ncols(self)
+    }
+    fn cols(self, j: usize, n: usize) -> Self {
+        self.submatrix(0, j, MatRef::nrows(&self), n)
+    }
+    #[inline(always)]
+    unsafe fn at(&self, p: usize, j: usize) -> S {
+        // SAFETY: the caller keeps `(p, j)` inside the view.
+        unsafe { self.get_unchecked(p, j) }
+    }
+    fn pack_panel(&self, p0: usize, j0: usize, dst: &mut [S], w: usize) {
+        let b = self.submatrix(p0, j0, dst.len() / w, w);
         if b.col_stride() == 1 {
-            for (p, dst) in panel.chunks_exact_mut(w).enumerate() {
-                dst.copy_from_slice(&b.row_slice(p)[j0..j0 + w]);
+            for (p, d) in dst.chunks_exact_mut(w).enumerate() {
+                d.copy_from_slice(b.row_slice(p));
             }
         } else {
-            for (p, dst) in panel.chunks_exact_mut(w).enumerate() {
-                for (j, d) in dst.iter_mut().enumerate() {
-                    // SAFETY: `p < kc` and `j0 + j < nc` index the view.
-                    *d = unsafe { b.get_unchecked(p, j0 + j) };
+            for (p, d) in dst.chunks_exact_mut(w).enumerate() {
+                for (j, v) in d.iter_mut().enumerate() {
+                    // SAFETY: `p < kb` and `j < w` index the view.
+                    *v = unsafe { b.get_unchecked(p, j) };
                 }
             }
         }
-        off += kc * w;
-        j0 += w;
+    }
+}
+
+/// Rows `row0..row0 + nrows`, columns `col0..col0 + ncols` of the
+/// Khatri-Rao product `F[o_0] ⊙ F[o_1] ⊙ ⋯ ⊙ F[o_{Z−1}]` of row-major
+/// factors `F` taken in `order` `o`, as a GEMM `B` operand that is
+/// never formed ([`gemm_krp_with`], [`par_gemm_krp_with`]).
+///
+/// Row `r` is the Hadamard product of one row of each factor, the last
+/// factor's row varying fastest, multiplied left to right — the
+/// association of `mttkrp_krp::krp_reuse`, so a GEMM on a `KrpRef`
+/// equals one on the materialised KRP bit for bit.
+#[derive(Clone, Copy)]
+pub struct KrpRef<'a, S: Scalar = f64> {
+    factors: &'a [MatRef<'a, S>],
+    order: &'a [usize],
+    row0: usize,
+    nrows: usize,
+    col0: usize,
+    ncols: usize,
+}
+
+impl<'a, S: Scalar> KrpRef<'a, S> {
+    /// The whole KRP of `factors[order[0]] ⊙ factors[order[1]] ⊙ ⋯`.
+    ///
+    /// # Panics
+    /// Panics if `order` is empty or indexes out of `factors`, or if the
+    /// selected factors disagree on columns or have non-contiguous rows.
+    pub fn new(factors: &'a [MatRef<'a, S>], order: &'a [usize]) -> Self {
+        assert!(!order.is_empty(), "KRP of zero matrices is undefined");
+        let ncols = factors[order[0]].ncols();
+        let mut nrows = 1;
+        for &i in order {
+            let f = &factors[i];
+            assert_eq!(
+                f.ncols(),
+                ncols,
+                "KRP factor {i} has mismatched column count"
+            );
+            assert_eq!(
+                f.col_stride(),
+                1,
+                "KRP factor {i} must have contiguous rows"
+            );
+            nrows *= f.nrows();
+        }
+        KrpRef {
+            factors,
+            order,
+            row0: 0,
+            nrows,
+            col0: 0,
+            ncols,
+        }
+    }
+
+    /// Rows of the (sub-)product.
+    #[inline]
+    pub fn nrows(&self) -> usize {
+        self.nrows
+    }
+
+    /// Columns of the (sub-)product.
+    #[inline]
+    pub fn ncols(&self) -> usize {
+        self.ncols
+    }
+
+    /// Rows `start..start + len` of this product.
+    ///
+    /// # Panics
+    /// Panics if the range leaves the product.
+    pub fn rows(self, start: usize, len: usize) -> Self {
+        assert!(start + len <= self.nrows, "KRP row range out of bounds");
+        KrpRef {
+            row0: self.row0 + start,
+            nrows: len,
+            ..self
+        }
+    }
+
+    /// Factor `z` of the product, in KRP order.
+    #[inline]
+    fn factor(&self, z: usize) -> MatRef<'a, S> {
+        self.factors[self.order[z]]
+    }
+
+    /// Rows of the product of factors `z + 1..`: the stride of factor
+    /// `z`'s row index in a KRP row index.
+    fn stride(&self, z: usize) -> usize {
+        (z + 1..self.order.len())
+            .map(|q| self.factor(q).nrows())
+            .product()
+    }
+}
+
+impl<S: Scalar> Operand<S> for KrpRef<'_, S> {
+    fn nrows(&self) -> usize {
+        self.nrows
+    }
+    fn ncols(&self) -> usize {
+        self.ncols
+    }
+    fn cols(self, j: usize, n: usize) -> Self {
+        assert!(j + n <= self.ncols, "KRP column range out of bounds");
+        KrpRef {
+            col0: self.col0 + j,
+            ncols: n,
+            ..self
+        }
+    }
+    unsafe fn at(&self, p: usize, j: usize) -> S {
+        let (r, j) = (self.row0 + p, self.col0 + j);
+        let mut v = S::ZERO;
+        for z in 0..self.order.len() {
+            let f = self.factor(z);
+            let x = f.row_slice(r / self.stride(z) % f.nrows())[j];
+            v = if z == 0 { x } else { v * x };
+        }
+        v
+    }
+    fn pack_panel(&self, p0: usize, j0: usize, dst: &mut [S], w: usize) {
+        let z = self.order.len();
+        let cols = self.col0 + j0..self.col0 + j0 + w;
+        let last = self.factor(z - 1);
+        let jl = last.nrows();
+        // The Hadamard product of the leading factors' rows, constant
+        // over each run of the last factor's rows.
+        assert!(w <= MAX_NR, "B panel wider than any register tile");
+        let mut lead = [S::ZERO; MAX_NR];
+        let lead = &mut lead[..w];
+        let mut r = self.row0 + p0;
+        let mut rows = dst.chunks_exact_mut(w);
+        let mut left = rows.len();
+        while left > 0 {
+            let (outer, l0) = (r / jl, r % jl);
+            let run = usize::min(jl - l0, left);
+            for q in 0..z - 1 {
+                let f = self.factor(q);
+                let row = &f.row_slice(outer / (self.stride(q) / jl) % f.nrows())[cols.clone()];
+                if q == 0 {
+                    lead.copy_from_slice(row);
+                } else {
+                    for (a, &x) in lead.iter_mut().zip(row) {
+                        *a *= x;
+                    }
+                }
+            }
+            for l in l0..l0 + run {
+                let d = rows.next().expect("run within the panel");
+                let x = &last.row_slice(l)[cols.clone()];
+                if z == 1 {
+                    d.copy_from_slice(x);
+                } else {
+                    for ((d, &a), &x) in d.iter_mut().zip(lead.iter()).zip(x) {
+                        *d = a * x;
+                    }
+                }
+            }
+            r += run;
+            left -= run;
+        }
     }
 }
 
@@ -442,10 +702,37 @@ pub fn par_gemm_with<S: Scalar>(
     beta: f64,
     c: MatMut<S>,
 ) {
+    par_gemm_op(ks, pool, alpha, a, b, beta, c)
+}
+
+/// [`par_gemm_with`] whose `B` is the Khatri-Rao product `b`: each
+/// thread generates the KRP rows (or columns) its block needs in its
+/// pack ([`gemm_krp_with`]).
+pub fn par_gemm_krp_with<S: Scalar>(
+    ks: &KernelSet<S>,
+    pool: &ThreadPool,
+    alpha: f64,
+    a: MatRef<S>,
+    b: KrpRef<S>,
+    beta: f64,
+    c: MatMut<S>,
+) {
+    par_gemm_op(ks, pool, alpha, a, b, beta, c)
+}
+
+fn par_gemm_op<S: Scalar, B: Operand<S>>(
+    ks: &KernelSet<S>,
+    pool: &ThreadPool,
+    alpha: f64,
+    a: MatRef<S>,
+    b: B,
+    beta: f64,
+    c: MatMut<S>,
+) {
     let t = pool.num_threads();
     let (m, n) = (c.nrows(), c.ncols());
     if t == 1 || m * n == 0 {
-        gemm_with(ks, alpha, a, b, beta, c);
+        gemm_op(ks, alpha, a, b, beta, c);
         return;
     }
     let k = a.ncols();
@@ -479,16 +766,9 @@ pub fn par_gemm_with<S: Scalar>(
             if let Some(cblk) = item.take() {
                 let r = block_range(if split_cols { n } else { m }, nsplit, ctx.thread_id);
                 if split_cols {
-                    gemm_with(
-                        ks,
-                        alpha,
-                        a,
-                        b.submatrix(0, r.start, k, r.len()),
-                        beta,
-                        cblk,
-                    );
+                    gemm_op(ks, alpha, a, b.cols(r.start, r.len()), beta, cblk);
                 } else {
-                    gemm_with(
+                    gemm_op(
                         ks,
                         alpha,
                         a.submatrix(r.start, 0, r.len(), k),

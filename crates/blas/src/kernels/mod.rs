@@ -45,6 +45,12 @@ pub mod x86_64;
 /// sizes its stack of row slices for the transposing pack by it.
 pub(crate) const MAX_MR: usize = 32;
 
+/// Widest GEMM register tile of any set ([`KernelSet::nr`]): the
+/// AVX-512 tile. The KRP pack sizes its stack row of leading-factor
+/// products by it.
+pub(crate) const MAX_NR: usize = 12;
+const _: () = assert!(scalar::NR <= MAX_NR);
+
 /// Checks the [`KernelSet::gemm_micro`] contract for a tile of height
 /// `mr` and widest panel `nr`: A is read at `a[p·lda + i]` for `p < kc`,
 /// `i < mr`, so it needs `lda >= mr` and `(kc − 1)·lda + mr` elements.

@@ -784,6 +784,7 @@ unsafe fn syrk_rank1_lower_avx512_f32_impl(row: &[f32], acc: &mut [f64]) {
 const NR_AVX512: usize = 12;
 /// Widest rank panel of the AVX2 tiles (12 of 16 ymm accumulate).
 const NR_AVX2: usize = 6;
+const _: () = assert!(NR_AVX512 <= super::MAX_NR && NR_AVX2 <= super::MAX_NR);
 
 /// Defines a tile's safe `gemm_micro` wrapper `$micro` and the
 /// `MR × W` kernel `$tile` (`MR = 2·lanes`) it dispatches to, one

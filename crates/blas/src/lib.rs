@@ -38,7 +38,9 @@ pub mod scalar;
 pub mod stream;
 pub mod syrk;
 
-pub use gemm::{gemm, gemm_with, par_gemm, par_gemm_with};
+pub use gemm::{
+    gemm, gemm_krp_with, gemm_with, k_block, par_gemm, par_gemm_krp_with, par_gemm_with, KrpRef,
+};
 pub use gemv::gemv;
 pub use kernels::{available_tiers, force_tier, kernels, KernelSet, KernelTier};
 pub use level1::{axpy, copy, dot, hadamard, hadamard_assign, mul_add, scale};

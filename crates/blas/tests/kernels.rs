@@ -7,6 +7,9 @@
 //! `n`, deep `k`) over all three pack classes of A. The blocked GEMM is
 //! also held to a naive product directly: `β = 0` over a NaN-filled `C`
 //! (so `C` is written once and never read) and `β ∉ {0, 1}` scaling.
+//! A GEMM whose `B` is a Khatri-Rao product generated in the pack
+//! (`KrpRef`) must equal the same GEMM on the materialised KRP bit for
+//! bit, on every tier, sequential and parallel.
 //!
 //! The `f32` kernel sets are held to the same structure: the two `f64`
 //! reductions (`dot`, SYRK) keep near-f64 tolerances because they
@@ -14,7 +17,12 @@
 //! elementwise and GEMM kernels get f32-appropriate budgets.
 
 use mttkrp_blas::kernels::{available_tiers, KernelSet, KernelTier};
-use mttkrp_blas::{gemm_with, syrk_t_with, Layout, MatMut, MatRef, Scalar};
+use mttkrp_blas::{
+    gemm_krp_with, gemm_with, par_gemm_krp_with, par_gemm_with, syrk_t_with, KrpRef, Layout,
+    MatMut, MatRef, Scalar,
+};
+use mttkrp_krp::krp_reuse;
+use mttkrp_parallel::ThreadPool;
 
 /// Relative-error budget of the acceptance criterion.
 const TOL: f64 = 1e-13;
@@ -740,4 +748,105 @@ fn f32_full_gemm_and_syrk_match_scalar_tier() {
             assert_all_close(&got, &want, &format!("f32 syrk_t {tier} m={m} n={n}"));
         }
     }
+}
+
+/// Bit patterns of `v`, for exact comparison.
+fn bits<S: Scalar>(v: &[S]) -> Vec<u64> {
+    v.iter().map(|x| x.to_f64().to_bits()).collect()
+}
+
+/// `C ← A·K(rows)` with `K = F[order[0]] ⊙ F[order[1]] ⊙ ⋯` generated
+/// in the pack ([`KrpRef`]) against the same GEMM on the KRP that
+/// `krp_reuse` materialises, bit for bit, for every tier and A form,
+/// sequential and on a 3-thread team (whose split follows `n ≥ m`).
+fn check_krp_operand<S: Scalar>(dims: &[usize], order: &[usize], c: usize, m: usize, skip: usize) {
+    let factors_data: Vec<Vec<S>> = dims
+        .iter()
+        .enumerate()
+        .map(|(i, &d)| {
+            rand_vec(d * c, 40 + i as u64)
+                .into_iter()
+                .map(S::from_f64)
+                .collect()
+        })
+        .collect();
+    let factors: Vec<MatRef<S>> = factors_data
+        .iter()
+        .zip(dims)
+        .map(|(f, &d)| MatRef::from_slice(f, d, c, Layout::RowMajor))
+        .collect();
+    let inputs: Vec<MatRef<S>> = order.iter().map(|&i| factors[i]).collect();
+    let total: usize = order.iter().map(|&i| dims[i]).product();
+    let mut full = vec![S::ZERO; total * c];
+    krp_reuse(&inputs, &mut full);
+    // A row range that starts `skip` rows into the KRP and stops short
+    // of its end.
+    let k = total - skip - skip / 2;
+    let b = MatRef::from_slice(&full[skip * c..(skip + k) * c], k, c, Layout::RowMajor);
+    let krp = KrpRef::new(&factors, order).rows(skip, k);
+    assert_eq!((krp.nrows(), krp.ncols()), (k, c));
+    let a_data: Vec<S> = rand_vec(2 * m * k, 9)
+        .into_iter()
+        .map(S::from_f64)
+        .collect();
+    let pool = ThreadPool::new(3);
+    for form in [AForm::ColMajor, AForm::RowMajor, AForm::Strided] {
+        let a = a_view(&a_data, m, k, form);
+        for tier in available_tiers() {
+            let ks = KernelSet::<S>::for_tier(tier).unwrap();
+            let ctx = format!(
+                "{} {tier} {form:?} dims {dims:?} order {order:?} c={c} m={m} k={k}",
+                S::DTYPE
+            );
+            let run = |par: bool, krp_b: bool| {
+                let mut out = vec![S::from_f64(f64::NAN); m * c];
+                let cv = MatMut::from_slice(&mut out, m, c, Layout::ColMajor);
+                match (par, krp_b) {
+                    (false, false) => gemm_with(&ks, 1.0, a, b, 0.0, cv),
+                    (false, true) => gemm_krp_with(&ks, 1.0, a, krp, 0.0, cv),
+                    (true, false) => par_gemm_with(&ks, &pool, 1.0, a, b, 0.0, cv),
+                    (true, true) => par_gemm_krp_with(&ks, &pool, 1.0, a, krp, 0.0, cv),
+                }
+                bits(&out)
+            };
+            assert_eq!(run(false, true), run(false, false), "{ctx}");
+            assert_eq!(run(true, true), run(true, false), "{ctx} on 3 threads");
+        }
+    }
+}
+
+#[test]
+fn gemm_on_a_generated_krp_equals_gemm_on_the_materialised_krp() {
+    // `(dims, order)`: one factor, two, and three in a permuted order;
+    // the row counts cross both dtypes' k-block (256 f64, 512 f32).
+    let products: [(&[usize], &[usize]); 4] = [
+        (&[700], &[0]),
+        (&[31, 23], &[0, 1]),
+        (&[3, 11, 19], &[2, 0, 1]),
+        (&[4, 2, 3], &[1, 2, 0]),
+    ];
+    // `(c, m)`: rank tails of every panel width (13 → 7 + 6 on AVX-512,
+    // 25 → 9 + 8 + 8), row tails of every tile height, past one
+    // 256-row block (with B packed once per call), both parallel splits
+    // (`n ≥ m` splits columns) and the unpacked small-problem path.
+    let shapes = [(13, 37), (25, 300), (25, 5), (1, 3), (5, 2)];
+    for (dims, order) in products {
+        for (c, m) in shapes {
+            check_krp_operand::<f64>(dims, order, c, m, 5);
+            check_krp_operand::<f32>(dims, order, c, m, 5);
+        }
+    }
+    // A range starting mid-KRP, past a whole run of the last factor.
+    check_krp_operand::<f64>(&[6, 5, 40], &[0, 1, 2], 9, 40, 57);
+}
+
+#[test]
+#[should_panic(expected = "mismatched column count")]
+fn krp_operand_rejects_factors_of_different_ranks() {
+    let (a, b) = (vec![0.0; 6], vec![0.0; 8]);
+    let f = [
+        MatRef::from_slice(&a, 2, 3, Layout::RowMajor),
+        MatRef::from_slice(&b, 2, 4, Layout::RowMajor),
+    ];
+    let _ = KrpRef::new(&f, &[0, 1]);
 }

@@ -28,20 +28,34 @@
 //!   factors. A gradient (all modes at fixed factors) is the same
 //!   sequence with no updates in between.
 //!
+//! The other group's KRP is never formed: the partial GEMM takes it as
+//! a [`KrpRef`] `B` operand over the other group's factors, and the
+//! GEMM's pack generates each KRP row it needs, so its time is charged
+//! to `dgemm` (never `lr_krp`). A GEMM whose `k` is at least `4m` (the
+//! `L` partial of a cubic 3-way tensor: `k = I²` against `m = I`) runs as
+//! `k`-chunks cut by the shape alone ([`k_chunks`]): the team deals
+//! them in static blocks, each into its own slice of plan-owned
+//! scratch, and the chunk products are summed in chunk order, so each
+//! thread generates only its own KRP rows. Any other partial GEMM
+//! splits its output across the team.
+//!
 //! Each multi-TTV deals the `C` columns across the team in static
-//! blocks and runs a column's GEMV chain sequentially, so the result
-//! does not depend on the team size. Steady-state execution on a
-//! one-thread pool allocates nothing.
+//! blocks and runs a column's GEMV chain sequentially, so — with the
+//! chunk sum in a fixed order and the GEMM's per-element sums fixed by
+//! the shape — the result does not depend on the team size.
+//! Steady-state execution on a one-thread pool allocates nothing.
 
 use std::ops::Range;
 
-use mttkrp_blas::{gemv, kernels, par_gemm_with, KernelSet, Layout, MatMut, MatRef, Scalar};
-use mttkrp_krp::KrpState;
+use mttkrp_blas::{
+    gemm_krp_with, gemv, k_block, kernels, par_gemm_krp_with, KernelSet, KrpRef, Layout, MatMut,
+    MatRef, Scalar,
+};
 use mttkrp_parallel::{block_range, ThreadPool, Workspace};
 use mttkrp_tensor::DenseTensor;
 
 use crate::breakdown::{timed_traced, Breakdown};
-use crate::plan::{check_planned, plan_krp};
+use crate::plan::check_planned;
 
 /// A partial MTTKRP over one mode group, a prefix `0..s` or a suffix
 /// `s..N` of the modes. See the [module docs](self).
@@ -50,28 +64,78 @@ pub(crate) struct Partial<S: Scalar> {
     modes: Range<usize>,
     /// The other group's factor indices in KRP order (descending).
     other_order: Vec<usize>,
-    /// KRP of the other group's factors, `(Π other dims) × C`
-    /// row-major. Empty when the other group is one mode: that factor
-    /// is its own KRP.
-    krp: Vec<S>,
+    /// The `k`-chunks of the partial GEMM ([`k_chunks`]); empty when it
+    /// runs as one team-split GEMM.
+    chunks: Vec<Range<usize>>,
+    /// Per-thread outputs of the chunks dealt to each thread, in chunk
+    /// order.
+    chunk_out: Workspace<ChunkSlot<S>>,
     /// The partial, `(Π group dims) × C` column-major.
     partial: Vec<S>,
 }
 
+/// One thread's share of a chunked partial GEMM.
+pub(crate) struct ChunkSlot<S: Scalar> {
+    /// This thread's static block of chunk indices.
+    chunks: Range<usize>,
+    /// One column-major `rows × C` product per chunk.
+    out: Vec<S>,
+}
+
+/// The `k`-chunks of a partial GEMM with `m` output rows and inner
+/// dimension `k`, cut at multiples of `kc`. A GEMM this long (`k ≥ 4m`)
+/// runs as near-equal chunks of whole `kc`-blocks, none longer than
+/// `max(16·kc, m)` rounded up to a block, so a team shares it by `k`
+/// and each thread generates only its own KRP rows. The cut depends
+/// only on the shape, never on the team. Empty when the GEMM is one
+/// chunk.
+fn k_chunks(m: usize, k: usize, kc: usize) -> Vec<Range<usize>> {
+    if k < 4 * m {
+        return Vec::new();
+    }
+    let blocks = k.div_ceil(kc);
+    let n = blocks.div_ceil((16 * kc).max(m).div_ceil(kc));
+    if n < 2 {
+        return Vec::new();
+    }
+    (0..n)
+        .map(|i| {
+            let b = block_range(blocks, n, i);
+            b.start * kc..(b.end * kc).min(k)
+        })
+        .collect()
+}
+
 impl<S: Scalar> Partial<S> {
     /// Allocate the partial of group `modes` (a prefix or a suffix of
-    /// the modes) of a `dims` tensor at rank `c`.
-    pub(crate) fn new(dims: &[usize], modes: Range<usize>, c: usize) -> Self {
+    /// the modes) of a `dims` tensor at rank `c`, with the chunk
+    /// outputs of a `t`-thread team.
+    pub(crate) fn new(dims: &[usize], modes: Range<usize>, c: usize, t: usize) -> Self {
         let other = if modes.start == 0 {
             modes.end..dims.len()
         } else {
             0..modes.start
         };
         let rows = |r: &Range<usize>| dims[r.clone()].iter().product::<usize>();
+        let m = rows(&modes);
+        let chunks = k_chunks(m, rows(&other), k_block::<S>());
+        let nsplit = t.min(chunks.len());
+        let chunk_out = Workspace::new(t, |tid| {
+            let mine = if tid < nsplit {
+                block_range(chunks.len(), nsplit, tid)
+            } else {
+                0..0
+            };
+            ChunkSlot {
+                out: vec![S::ZERO; mine.len() * m * c],
+                chunks: mine,
+            }
+        });
         Partial {
-            other_order: other.clone().rev().collect(),
-            krp: vec![S::ZERO; if other.len() > 1 { rows(&other) * c } else { 0 }],
-            partial: vec![S::ZERO; rows(&modes) * c],
+            other_order: other.rev().collect(),
+            chunks,
+            chunk_out,
+            partial: vec![S::ZERO; m * c],
             modes,
         }
     }
@@ -81,35 +145,20 @@ impl<S: Scalar> Partial<S> {
         self.partial.as_ptr()
     }
 
-    /// Form the partial at `factors`: the other group's KRP (charged to
-    /// `lr_krp`), then one partial GEMM into the column-major partial
-    /// (charged to `dgemm`).
+    /// Form the partial at `factors` with one partial GEMM, charged to
+    /// `dgemm`, whose `B` is the other group's KRP generated in the
+    /// GEMM's pack. A chunked GEMM deals its chunks across the team and
+    /// sums their products in chunk order.
     pub(crate) fn form(
         &mut self,
         ks: &KernelSet<S>,
         pool: &ThreadPool,
         x: &DenseTensor<S>,
         factors: &[MatRef<S>],
-        krp_state: &mut KrpState<S>,
         bd: &mut Breakdown,
     ) {
         let c = factors[0].ncols();
-        let krp = if let [k] = self.other_order[..] {
-            factors[k]
-        } else {
-            timed_traced("krp", &mut bd.lr_krp, || {
-                plan_krp(
-                    ks,
-                    pool,
-                    factors,
-                    &self.other_order,
-                    krp_state,
-                    &mut self.krp,
-                    c,
-                )
-            });
-            MatRef::from_slice(&self.krp, self.krp.len() / c, c, Layout::RowMajor)
-        };
+        let krp = KrpRef::new(factors, &self.other_order);
         // X(0:s−1) is (Π prefix dims) × (Π suffix dims) column-major.
         let prefix = self.modes.start == 0;
         let split = if prefix {
@@ -121,15 +170,34 @@ impl<S: Scalar> Partial<S> {
         let a = if prefix { xv } else { xv.t() };
         let rows = a.nrows();
         timed_traced("gemm", &mut bd.dgemm, || {
-            par_gemm_with(
-                ks,
-                pool,
-                1.0,
-                a,
-                krp,
-                0.0,
-                MatMut::from_slice(&mut self.partial, rows, c, Layout::ColMajor),
-            )
+            if self.chunks.is_empty() {
+                let out = MatMut::from_slice(&mut self.partial, rows, c, Layout::ColMajor);
+                par_gemm_krp_with(ks, pool, 1.0, a, krp, 0.0, out);
+                return;
+            }
+            let chunks = &self.chunks;
+            pool.run_with_workspace(&mut self.chunk_out, |_, slot| {
+                for (out, i) in slot.out.chunks_exact_mut(rows * c).zip(slot.chunks.clone()) {
+                    let r = chunks[i].clone();
+                    gemm_krp_with(
+                        ks,
+                        1.0,
+                        a.submatrix(0, r.start, rows, r.len()),
+                        krp.rows(r.start, r.len()),
+                        0.0,
+                        MatMut::from_slice(out, rows, c, Layout::ColMajor),
+                    );
+                }
+            });
+            let slots = self.chunk_out.slots();
+            let mut outs = slots.iter().flat_map(|s| s.out.chunks_exact(rows * c));
+            self.partial
+                .copy_from_slice(outs.next().expect("a chunked GEMM has chunks"));
+            for out in outs {
+                for (p, &v) in self.partial.iter_mut().zip(out) {
+                    *p += v;
+                }
+            }
         });
     }
 
@@ -232,7 +300,6 @@ pub struct DimTreePlan<S: Scalar = f64> {
     /// The mode an in-sweep call may continue from without refreshing
     /// its group's partial.
     next: usize,
-    krp_state: KrpState<S>,
     ttv: Workspace<TtvSlot<S>>,
     kernels: KernelSet<S>,
 }
@@ -261,11 +328,11 @@ impl<S: Scalar> DimTreePlan<S> {
         let _span = mttkrp_obs::span!("plan_build", modes = nmodes);
         mttkrp_obs::counter!("core.plans_built").incr();
         let s = nmodes.div_ceil(2);
-        let groups = [
-            Partial::new(dims, 0..s, c),
-            Partial::new(dims, s..nmodes, c),
-        ];
         let t = pool.num_threads();
+        let groups = [
+            Partial::new(dims, 0..s, c, t),
+            Partial::new(dims, s..nmodes, c, t),
+        ];
         DimTreePlan {
             dims: dims.to_vec(),
             c,
@@ -273,7 +340,6 @@ impl<S: Scalar> DimTreePlan<S> {
             ttv: ttv_workspace(t, dims, c, &groups),
             groups,
             next: 0,
-            krp_state: KrpState::new(),
             kernels: *kernels::<S>(),
         }
     }
@@ -307,8 +373,8 @@ impl<S: Scalar> DimTreePlan<S> {
     /// call out of that order forms its group's partial afresh.
     ///
     /// The group work is charged to the triggering mode's breakdown:
-    /// the KRP to `lr_krp`, the partial GEMM to `dgemm`, and every
-    /// mode's multi-TTV to `dgemv`.
+    /// the partial GEMM, with the KRP generated inside it, to `dgemm`,
+    /// and every mode's multi-TTV to `dgemv`.
     ///
     /// # Panics
     /// Panics if `pool`, `x`, `factors`, or `out` disagree with the
@@ -354,14 +420,7 @@ impl<S: Scalar> DimTreePlan<S> {
         let g = usize::from(n >= self.split());
         let group = &mut self.groups[g];
         if refresh {
-            group.form(
-                &self.kernels,
-                pool,
-                x,
-                factors,
-                &mut self.krp_state,
-                &mut bd,
-            );
+            group.form(&self.kernels, pool, x, factors, &mut bd);
         }
         group.contract(pool, &mut self.ttv, &self.dims, factors, n, out, &mut bd);
         self.next = n + 1;
@@ -537,8 +596,8 @@ mod tests {
         }
     }
 
-    /// Modes 0 and `s` carry their group's KRP and partial GEMM; every
-    /// mode carries its multi-TTV.
+    /// Modes 0 and `s` carry their group's partial GEMM, the KRP
+    /// generated inside it; every mode carries its multi-TTV.
     #[test]
     fn group_work_is_charged_to_the_triggering_modes() {
         let dims = [6usize, 5, 4, 3];
@@ -550,7 +609,7 @@ mod tests {
         for (n, (_, bd)) in all_modes(&mut plan, &pool, &x, &f).iter().enumerate() {
             let group_mode = n == 0 || n == 2;
             assert_eq!(bd.dgemm > 0.0, group_mode, "mode {n}: {bd:?}");
-            assert_eq!(bd.lr_krp > 0.0, group_mode, "mode {n}: {bd:?}");
+            assert_eq!(bd.lr_krp, 0.0, "mode {n}: {bd:?}");
             assert!(bd.dgemv > 0.0 && bd.total >= bd.categorized(), "mode {n}");
         }
     }
@@ -559,7 +618,7 @@ mod tests {
     /// `[5, 4, 3, 6]` (split 2) its right side at mode 1 and its left
     /// side at mode 2 equal `DimTreePlan::execute` bit for bit, every
     /// forced side is bitwise identical across teams of 1, 2 and 3, and
-    /// only a GEMM side of two or more modes forms a KRP.
+    /// each side's KRP is charged inside its partial GEMM.
     #[test]
     fn per_mode_two_step_is_the_two_group_partial() {
         let dims = [5usize, 4, 3, 6];
@@ -584,12 +643,55 @@ mod tests {
         for n in [1, 2] {
             for side in [TwoStepSide::Left, TwoStepSide::Right] {
                 let (one, bd) = run(1, n, side);
-                let krp_side = (n == 1) == (side == TwoStepSide::Right);
-                assert_eq!(bd.lr_krp > 0.0, krp_side, "mode {n} {side:?}: {bd:?}");
+                assert!(bd.dgemm > 0.0, "mode {n} {side:?}: {bd:?}");
+                assert_eq!(bd.lr_krp, 0.0, "mode {n} {side:?}: {bd:?}");
                 for t in [2, 3] {
                     assert_eq!(run(t, n, side).0, one, "mode {n} {side:?} t={t}");
                 }
             }
+        }
+    }
+
+    /// A long-`k` partial runs as `k`-chunks whose cut depends only on
+    /// the shape: on `[100, 90, 6]` the right group's `L` partial
+    /// (`k = 9000` f64) is three chunks, the per-mode 2-step's left side
+    /// on mode 2 of `[70, 64, 4, 3]` two. Both match the oracle and are
+    /// bitwise identical across teams of 1, 2 and 3.
+    #[test]
+    fn chunked_partials_are_bitwise_independent_of_the_team() {
+        let c = 3;
+        let dims = [100usize, 90, 6];
+        let (x, factors) = setup(&dims, c, 21);
+        let f = refs(&factors, &dims, c);
+        let mut first = None;
+        for t in [1, 2, 3] {
+            let pool = ThreadPool::new(t);
+            let mut plan = DimTreePlan::new(&pool, &dims, c);
+            assert_eq!(plan.groups.each_ref().map(|g| g.chunks.len()), [0, 3]);
+            let got = outputs(all_modes(&mut plan, &pool, &x, &f));
+            let want = first.get_or_insert_with(|| got.clone());
+            assert_eq!(&got, want, "t={t}");
+        }
+        check(&dims, c, 2);
+
+        let dims = [70usize, 64, 4, 3];
+        assert_eq!(k_chunks(4 * 3, 70 * 64, k_block::<f64>()).len(), 2);
+        let (x, factors) = setup(&dims, c, 22);
+        let f = refs(&factors, &dims, c);
+        let mut want = vec![0.0; dims[2] * c];
+        mttkrp_oracle(&x, &f, 2, &mut want);
+        let mut first: Option<Vec<f64>> = None;
+        for t in [1, 2, 3] {
+            let pool = ThreadPool::new(t);
+            let choice = AlgoChoice::TwoStep(TwoStepSide::Left);
+            let mut plan = MttkrpPlan::new(&pool, &dims, c, 2, choice);
+            let mut out = vec![f64::NAN; dims[2] * c];
+            plan.execute(&pool, &x, &f, &mut out);
+            for (a, b) in out.iter().zip(&want) {
+                assert!((a - b).abs() < 1e-9 * (1.0 + b.abs()), "t={t}: {a} vs {b}");
+            }
+            let first = first.get_or_insert_with(|| out.clone());
+            assert_eq!(&out, first, "t={t}");
         }
     }
 }

@@ -25,7 +25,7 @@
 //!   `I_n × C` accumulators and Khatri-Rao cursor state held in a
 //!   [`mttkrp_parallel::Workspace`] arena, the shared left KRP of the
 //!   internal 1-step, and the 2-step's partial MTTKRP — the same
-//!   crate-private type, with its GEMM-side KRP, partial and multi-TTV
+//!   crate-private type, with its partial, `k`-chunk and multi-TTV
 //!   scratch, that [`DimTreePlan`] holds two of (see [`crate::multimode`]).
 //!
 //! [`MttkrpPlan::execute`] then runs the kernel against borrowed tensor
@@ -184,8 +184,6 @@ enum PlanKind<S: Scalar> {
     /// The group `n..N` (left side) or `0..=n` (right side).
     TwoStep {
         partial: Partial<S>,
-        /// Cursor state for single-thread KRP formation.
-        krp_state: KrpState<S>,
         ttv: Workspace<TtvSlot<S>>,
     },
 }
@@ -374,17 +372,9 @@ impl<S: Scalar> MttkrpPlan<S> {
             } else {
                 (PlannedAlgo::TwoStepRight, 0..n + 1)
             };
-            let partial = Partial::new(dims, modes, c);
+            let partial = Partial::new(dims, modes, c, t);
             let ttv = ttv_workspace(t, dims, c, std::slice::from_ref(&partial));
-            let krp_state = KrpState::new();
-            (
-                algo,
-                PlanKind::TwoStep {
-                    partial,
-                    krp_state,
-                    ttv,
-                },
-            )
+            (algo, PlanKind::TwoStep { partial, ttv })
         };
 
         MttkrpPlan {
@@ -499,12 +489,8 @@ impl<S: Scalar> MttkrpPlan<S> {
         match &mut self.kind {
             PlanKind::OneStepExternal(p) => p.run(ks, pool, x, factors, n, out, &mut bd),
             PlanKind::OneStepInternal(p) => p.run(ks, pool, x, factors, n, out, &mut bd),
-            PlanKind::TwoStep {
-                partial,
-                krp_state,
-                ttv,
-            } => {
-                partial.form(ks, pool, x, factors, krp_state, &mut bd);
+            PlanKind::TwoStep { partial, ttv } => {
+                partial.form(ks, pool, x, factors, &mut bd);
                 partial.contract(pool, ttv, &self.dims, factors, n, out, &mut bd);
             }
         }

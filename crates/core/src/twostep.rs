@@ -5,7 +5,8 @@
 //! `R(0:n) = X(0:n) · KR` is a single BLAS call (right variant), and
 //! `X(0:n−1)ᵀ` is row-major, so `L = X(0:n−1)ᵀ · KL` is too (left
 //! variant). The side is chosen to minimize the flops of step 2
-//! (`IL_n > IR_n ⇒ left`, Algorithm 4 line 4).
+//! (`IL_n > IR_n ⇒ left`, Algorithm 4 line 4). `KR`/`KL` are not
+//! formed either: the GEMM generates their rows in its pack.
 //!
 //! Step 2 — *multi-TTV* — contracts column `j` of the partial with
 //! column `j` of every remaining factor, one GEMV per mode, so the

@@ -383,7 +383,12 @@ impl<X: MttkrpBackend> CpAlsSweep<X> {
             total
         };
         let norm_x_sq = self.norm_x * self.norm_x;
-        let resid_sq = (norm_x_sq - 2.0 * inner + norm_y_sq).max(0.0);
+        // ‖X‖² − 2⟨X,Y⟩ + ‖Y‖² cancels catastrophically at a tight fit:
+        // a residual within a few rounding errors of its terms is noise,
+        // and counts as an exact fit so the fit stops flickering.
+        let noise = 8.0 * f64::EPSILON * (norm_x_sq + 2.0 * inner.abs() + norm_y_sq);
+        let resid_sq = norm_x_sq - 2.0 * inner + norm_y_sq;
+        let resid_sq = if resid_sq <= noise { 0.0 } else { resid_sq };
         let fit = if self.norm_x > 0.0 {
             1.0 - resid_sq.sqrt() / self.norm_x
         } else {

@@ -172,8 +172,10 @@ pub fn perf_report_with(
             });
         }
         if bd.lr_krp > 0.0 {
-            // The 2-step forms only its GEMM side's KRP (and none when
-            // that side is one mode, so it records no `lr_krp`).
+            // The internal 1-step forms both partial KRPs. The 2-step
+            // generates its KRP inside the partial GEMM and records
+            // none; a 2-step breakdown that charges one is priced at
+            // its GEMM side's rows.
             let krp_rows = match run.algo {
                 PlannedAlgo::TwoStepLeft => sh.il,
                 PlannedAlgo::TwoStepRight => sh.ir,

@@ -8,17 +8,19 @@
 //! Every reader is also fuzzed by one seeded loop of truncations, bit
 //! flips and forged header words: over a valid MTKS file whose first
 //! mode has 2^60 indices (loaded, then compressed into CSF trees), over
-//! small valid MTKT v1 (`f64`), MTKT v2 (`f32`) and MTKM files, and
-//! over the two text parsers, a tuning profile and a daemon submit line
-//! (a mutation that is not UTF-8 counts as an error). No case may
-//! panic, and each stays within the same allocation bound.
+//! small valid MTKT v1 (`f64`), MTKT v2 (`f32`) and MTKM files, over a
+//! small valid MTTB tile store (each mutant written to a file and
+//! opened), and over the two text parsers, a tuning profile and a
+//! daemon submit line (a mutation that is not UTF-8 counts as an
+//! error). No case may panic, and each stays within the same allocation
+//! bound.
 
 #[path = "support/counting_alloc.rs"]
 mod counting_alloc;
 
 use counting_alloc::{counted, CountingAlloc};
 use mttkrp_repro::blas::KernelTier;
-use mttkrp_repro::ooc::TileStore;
+use mttkrp_repro::ooc::{TileStore, TiledLayout};
 use mttkrp_repro::rng::Rng64;
 use mttkrp_repro::serve::JobRequest;
 use mttkrp_repro::sparse::{CooTensor, CsfTensor};
@@ -259,6 +261,27 @@ fn mutated_model_files_never_panic_and_allocate_within_their_input() {
     mutation_loop("MTKM", &model_to_bytes(&model), &words, 0x7E45_0003, |b| {
         alloc_of(|| read_model_from(&mut { b }, b.len() as u64))
     });
+}
+
+#[test]
+fn mutated_tile_stores_never_panic_and_allocate_within_their_input() {
+    let dir = std::env::temp_dir().join(format!("forged_tile_stores_{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    // A 3 × 4 × 5 tensor in a 2 × 1 × 2 grid of ragged tiles.
+    let layout = TiledLayout::new(&[3, 4, 5], &[2, 4, 3]);
+    let valid_path = dir.join("valid.mttb");
+    TileStore::write_dense(&valid_path, &layout, &small_tensor::<f64>()).unwrap();
+    let valid = std::fs::read(&valid_path).unwrap();
+    // Version and mode count (u32), then the three dims, the three tile
+    // extents, the tile count and the four tile offsets (u64).
+    let mut words = vec![(4, 4), (8, 4)];
+    words.extend((0..11).map(|w| (12 + 8 * w, 8)));
+    let mutant = dir.join("mutant.mttb");
+    mutation_loop("MTTB", &valid, &words, 0x7E45_0006, |b| {
+        std::fs::write(&mutant, b).unwrap();
+        alloc_of(|| TileStore::open(&mutant))
+    });
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 /// `(byte offset, 4)` just after each of `keys` in `text`: the values

@@ -125,9 +125,10 @@ fn steady_state_f32_plan_execution_does_not_allocate() {
 }
 
 /// The two-group plan, at both precisions: once warm, an in-sweep pass
-/// over every mode (group KRPs, both partial GEMMs, every multi-TTV)
-/// plus a refreshing `execute` allocates nothing. `[30, 24, 20]` has a
-/// one-mode right group and partials on the packed GEMM path.
+/// over every mode (both partial GEMMs, every multi-TTV) plus a
+/// refreshing `execute` allocates nothing. `[30, 24, 20]` has a
+/// one-mode right group and partials on the packed GEMM path;
+/// `[100, 90, 6]` runs its `L` partial as `k`-chunks.
 fn two_group_steady_state_does_not_allocate<S: Scalar>() {
     let mut rng = Rng64::seed_from_u64(0xA110_C0D7);
     let mut rand = |len: usize| -> Vec<S> {
@@ -137,7 +138,12 @@ fn two_group_steady_state_does_not_allocate<S: Scalar>() {
     };
     let pool = ThreadPool::new(1);
     let c = 5;
-    for dims in [vec![30usize, 24, 20], vec![8, 6, 5, 4], vec![5, 4, 3, 2, 3]] {
+    for dims in [
+        vec![30usize, 24, 20],
+        vec![100, 90, 6],
+        vec![8, 6, 5, 4],
+        vec![5, 4, 3, 2, 3],
+    ] {
         let x = DenseTensor::<S>::from_vec(&dims, rand(dims.iter().product()));
         let factors: Vec<Vec<S>> = dims.iter().map(|&d| rand(d * c)).collect();
         let frefs: Vec<MatRef<S>> = factors
@@ -153,7 +159,7 @@ fn two_group_steady_state_does_not_allocate<S: Scalar>() {
             }
             plan.execute(&pool, &x, &frefs, 0, &mut outs[0]);
         };
-        sweep(); // warm-up: GEMM pack buffers, KRP cursor state
+        sweep(); // warm-up: GEMM pack buffers
         let (calls, bytes) = counted(|| {
             sweep();
             sweep();
