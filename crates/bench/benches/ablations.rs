@@ -3,8 +3,9 @@
 //! * KRP prefix reuse on/off (sequential, isolating Algorithm 1's gain);
 //! * 2-step left vs right partial (vs the paper's `IL_n > IR_n` rule);
 //! * 1-step Algorithm 2 (explicit full KRP) vs Algorithm 3 with one
-//!   thread (streaming KRP blocks) — the paper's observation that the
-//!   parallel formulation is the better sequential algorithm too;
+//!   thread (KRP rows generated inside each GEMM) — the paper's
+//!   observation that the parallel formulation is the better
+//!   sequential algorithm too;
 //! * plan reuse on/off (per-call allocation vs cached `MttkrpPlan`).
 
 use mttkrp_bench::{BenchGroup, MttkrpFixture, RANK};

@@ -33,14 +33,16 @@
 //! in uninitialized output cannot leak in), any other `β` folds
 //! `β·C + α·C_pack` into that same pass. `B` is packed once per call
 //! rather than once per row block when `k` fits one `k`-block, or when
-//! all `k × nc` of it fits [`B_ONCE_BYTES`] and there is more than one
+//! all `k × nc` of it fits `B_ONCE_BYTES` and there is more than one
 //! row block to serve.
 //!
 //! `B` is either a strided [`MatRef`] or a [`KrpRef`]: a Khatri-Rao
 //! product of row-major factors that is never formed. The pack
 //! generates each KRP row straight into the panels, one Hadamard
-//! product of factor rows per row, so the MTTKRP partial GEMMs read only
-//! the tensor and the factors ([`gemm_krp_with`], [`par_gemm_krp_with`]).
+//! product of factor rows per row, so every MTTKRP GEMM reads only the
+//! tensor and the factors ([`gemm_krp_with`], [`par_gemm_krp_with`]).
+//! A small problem, which is not packed, generates its whole `k × n`
+//! KRP once into the thread-local B pack buffer instead.
 //!
 //! [`par_gemm`] statically partitions the larger output dimension across
 //! a thread pool, mirroring how the paper invokes multithreaded MKL.
@@ -48,7 +50,7 @@
 use mttkrp_parallel::{block_range, ThreadPool};
 
 use crate::kernels::{kernels, KernelSet, MAX_MR, MAX_NR};
-use crate::mat::{MatMut, MatRef};
+use crate::mat::{Layout, MatMut, MatRef};
 use crate::scalar::Scalar;
 
 /// K-dimension cache block in bytes: `kc = KC_BYTES / sizeof(S)` (256
@@ -137,7 +139,7 @@ fn gemm_op<S: Scalar, B: Operand<S>>(
     }
     if small {
         scale_c(&mut c, beta);
-        small_kernel(alpha, &a, &b, &mut c);
+        b.with_view(|b| small_kernel(alpha, &a, b, &mut c));
         return;
     }
 
@@ -162,7 +164,7 @@ fn gemm_op<S: Scalar, B: Operand<S>>(
     });
 }
 
-/// The `k`-block of element type `S`, [`KC_BYTES`] of it (256 `f64`,
+/// The `k`-block of element type `S`, `KC_BYTES` of it (256 `f64`,
 /// 512 `f32`): a caller splitting a long `k` into separate GEMMs cuts
 /// at its multiples, so every chunk runs whole blocks.
 pub const fn k_block<S: Scalar>() -> usize {
@@ -228,7 +230,7 @@ fn record_gemm_metrics<S: Scalar>(
 
 /// Unpacked accumulation kernel for small problems:
 /// `C += α·A·B` (C already scaled by β).
-fn small_kernel<S: Scalar, B: Operand<S>>(alpha: f64, a: &MatRef<S>, b: &B, c: &mut MatMut<S>) {
+fn small_kernel<S: Scalar>(alpha: f64, a: &MatRef<S>, b: &MatRef<S>, c: &mut MatMut<S>) {
     let (m, k) = (a.nrows(), a.ncols());
     let n = b.ncols();
     let alpha = S::from_f64(alpha);
@@ -237,7 +239,7 @@ fn small_kernel<S: Scalar, B: Operand<S>>(alpha: f64, a: &MatRef<S>, b: &B, c: &
             let mut s = S::ZERO;
             for p in 0..k {
                 // SAFETY: `i < m`, `p < k` and `j < n` index A and B.
-                s += unsafe { a.get_unchecked(i, p) * b.at(p, j) };
+                s += unsafe { a.get_unchecked(i, p) * b.get_unchecked(p, j) };
             }
             unsafe {
                 let old = c.get_unchecked(i, j);
@@ -419,21 +421,18 @@ fn pack_b<S: Scalar, B: Operand<S>>(
     }
 }
 
-/// A GEMM `B` operand: what the small kernel reads entry by entry and
-/// what [`pack_b`] packs panel by panel.
+/// A GEMM `B` operand: what [`pack_b`] packs panel by panel and the
+/// small kernel reads as a strided view.
 trait Operand<S: Scalar>: Copy + Sync {
     fn nrows(&self) -> usize;
     fn ncols(&self) -> usize;
     /// Columns `j..j + n`.
     fn cols(self, j: usize, n: usize) -> Self;
-    /// Entry `(p, j)`.
-    ///
-    /// # Safety
-    /// `p < nrows` and `j < ncols`.
-    unsafe fn at(&self, p: usize, j: usize) -> S;
     /// Rows `p0..p0 + dst.len() / w` of columns `j0..j0 + w` into the
     /// row-major `dst`.
     fn pack_panel(&self, p0: usize, j0: usize, dst: &mut [S], w: usize);
+    /// Run `f` on the whole operand as a strided view.
+    fn with_view<R>(&self, f: impl FnOnce(&MatRef<S>) -> R) -> R;
 }
 
 impl<S: Scalar> Operand<S> for MatRef<'_, S> {
@@ -445,11 +444,6 @@ impl<S: Scalar> Operand<S> for MatRef<'_, S> {
     }
     fn cols(self, j: usize, n: usize) -> Self {
         self.submatrix(0, j, MatRef::nrows(&self), n)
-    }
-    #[inline(always)]
-    unsafe fn at(&self, p: usize, j: usize) -> S {
-        // SAFETY: the caller keeps `(p, j)` inside the view.
-        unsafe { self.get_unchecked(p, j) }
     }
     fn pack_panel(&self, p0: usize, j0: usize, dst: &mut [S], w: usize) {
         let b = self.submatrix(p0, j0, dst.len() / w, w);
@@ -465,6 +459,9 @@ impl<S: Scalar> Operand<S> for MatRef<'_, S> {
                 }
             }
         }
+    }
+    fn with_view<R>(&self, f: impl FnOnce(&MatRef<S>) -> R) -> R {
+        f(self)
     }
 }
 
@@ -559,43 +556,16 @@ impl<'a, S: Scalar> KrpRef<'a, S> {
             .map(|q| self.factor(q).nrows())
             .product()
     }
-}
 
-impl<S: Scalar> Operand<S> for KrpRef<'_, S> {
-    fn nrows(&self) -> usize {
-        self.nrows
-    }
-    fn ncols(&self) -> usize {
-        self.ncols
-    }
-    fn cols(self, j: usize, n: usize) -> Self {
-        assert!(j + n <= self.ncols, "KRP column range out of bounds");
-        KrpRef {
-            col0: self.col0 + j,
-            ncols: n,
-            ..self
-        }
-    }
-    unsafe fn at(&self, p: usize, j: usize) -> S {
-        let (r, j) = (self.row0 + p, self.col0 + j);
-        let mut v = S::ZERO;
-        for z in 0..self.order.len() {
-            let f = self.factor(z);
-            let x = f.row_slice(r / self.stride(z) % f.nrows())[j];
-            v = if z == 0 { x } else { v * x };
-        }
-        v
-    }
-    fn pack_panel(&self, p0: usize, j0: usize, dst: &mut [S], w: usize) {
+    /// Rows `p0..p0 + dst.len() / w` of columns `j0..j0 + w` into the
+    /// row-major `dst`, with `lead` (`w` long) as scratch for the
+    /// Hadamard product of the leading factors' rows, which is formed
+    /// once per run of the last factor's rows.
+    fn generate(&self, p0: usize, j0: usize, dst: &mut [S], w: usize, lead: &mut [S]) {
         let z = self.order.len();
         let cols = self.col0 + j0..self.col0 + j0 + w;
         let last = self.factor(z - 1);
         let jl = last.nrows();
-        // The Hadamard product of the leading factors' rows, constant
-        // over each run of the last factor's rows.
-        assert!(w <= MAX_NR, "B panel wider than any register tile");
-        let mut lead = [S::ZERO; MAX_NR];
-        let lead = &mut lead[..w];
         let mut r = self.row0 + p0;
         let mut rows = dst.chunks_exact_mut(w);
         let mut left = rows.len();
@@ -627,6 +597,38 @@ impl<S: Scalar> Operand<S> for KrpRef<'_, S> {
             r += run;
             left -= run;
         }
+    }
+}
+
+impl<S: Scalar> Operand<S> for KrpRef<'_, S> {
+    fn nrows(&self) -> usize {
+        self.nrows
+    }
+    fn ncols(&self) -> usize {
+        self.ncols
+    }
+    fn cols(self, j: usize, n: usize) -> Self {
+        assert!(j + n <= self.ncols, "KRP column range out of bounds");
+        KrpRef {
+            col0: self.col0 + j,
+            ncols: n,
+            ..self
+        }
+    }
+    fn pack_panel(&self, p0: usize, j0: usize, dst: &mut [S], w: usize) {
+        assert!(w <= MAX_NR, "B panel wider than any register tile");
+        let mut lead = [S::ZERO; MAX_NR];
+        self.generate(p0, j0, dst, w, &mut lead[..w]);
+    }
+    /// Generates the `k × n` product once, row-major, into the
+    /// thread-local B pack buffer.
+    fn with_view<R>(&self, f: impl FnOnce(&MatRef<S>) -> R) -> R {
+        let (k, n) = (self.nrows, self.ncols);
+        S::with_pack_buffers(|_, buf| {
+            let (dst, lead) = aligned(buf, k * n + n).split_at_mut(k * n);
+            self.generate(0, 0, dst, n, lead);
+            f(&MatRef::from_slice(dst, k, n, Layout::RowMajor))
+        })
     }
 }
 

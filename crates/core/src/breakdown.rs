@@ -5,17 +5,20 @@ use std::time::Instant;
 /// Wall-clock seconds spent in each phase of one MTTKRP invocation.
 ///
 /// The categories match the paper's Figure 6 legend. Phases executed
-/// concurrently by several threads (the interleaved KRP/GEMM work of the
+/// concurrently by several threads (the block GEMMs of the
 /// internal-mode 1-step loop) report the **maximum** per-thread sum,
 /// which approximates the phase's wall-clock share.
 #[derive(Debug, Clone, Copy, Default, PartialEq)]
 pub struct Breakdown {
     /// Explicit tensor reordering (baseline only).
     pub reorder: f64,
-    /// Forming the full KRP (1-step external modes; baseline).
+    /// Forming the full KRP (1-step external modes; baseline). The
+    /// planned executors generate KRP rows inside `dgemm`, so only the
+    /// explicit baseline and the machine model fill it.
     pub full_krp: f64,
     /// Forming left/right partial KRPs and per-block KRP rows
-    /// (1-step internal modes; 2-step lines 2–3).
+    /// (1-step internal modes; 2-step lines 2–3). Only the machine
+    /// model fills it; measured executors count this work in `dgemm`.
     pub lr_krp: f64,
     /// Matrix-matrix multiplication time.
     pub dgemm: f64,

@@ -33,7 +33,7 @@
 //! GEMM's pack generates each KRP row it needs, so its time is charged
 //! to `dgemm` (never `lr_krp`). A GEMM whose `k` is at least `4m` (the
 //! `L` partial of a cubic 3-way tensor: `k = I²` against `m = I`) runs as
-//! `k`-chunks cut by the shape alone ([`k_chunks`]): the team deals
+//! `k`-chunks cut by the shape alone (`k_chunks`): the team deals
 //! them in static blocks, each into its own slice of plan-owned
 //! scratch, and the chunk products are summed in chunk order, so each
 //! thread generates only its own KRP rows. Any other partial GEMM

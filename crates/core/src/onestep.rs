@@ -5,20 +5,21 @@
 //! for external modes, a block inner product of `IR_n` GEMMs for
 //! internal modes. No tensor entry is ever moved.
 //!
-//! Parallel (Algorithm 3):
+//! Parallel (Algorithm 3), run by [`MttkrpPlan`]:
 //!
 //! * **External modes** (`n = 0`, `n = N−1`): the columns of the (single
 //!   strided view) matricization are partitioned into `T` contiguous
-//!   blocks; each thread forms only its own rows of the KRP with a
-//!   seeked [`mttkrp_krp::KrpCursor`] and multiplies into a
-//!   thread-private output,
-//!   followed by a parallel reduction.
-//! * **Internal modes**: the left partial KRP `KL` is precomputed in
-//!   parallel; the `IR_n` blocks are dealt block-cyclically to threads,
-//!   each of which forms the needed row of the right KRP `KR`, expands
-//!   the block's KRP rows as `KR(j,:) ⊙ KL`, and accumulates
-//!   `X(n)[j] · K_t` into its private output — again followed by a
-//!   parallel reduction.
+//!   blocks; each thread multiplies its block by its own rows of the
+//!   KRP into a thread-private output, followed by a parallel
+//!   reduction.
+//! * **Internal modes**: the `IR_n` blocks are dealt block-cyclically
+//!   to threads, each of which accumulates `X(n)[j] · K(j·IL_n.., :)`
+//!   into its private output — again followed by a parallel reduction.
+//!
+//! Neither forms the KRP: each GEMM takes its rows as a
+//! [`mttkrp_blas::KrpRef`] and generates them in its pack, so the KRP
+//! time is part of `dgemm`. At `T = 1` both equal Algorithm 2 bit for
+//! bit.
 
 use mttkrp_blas::{gemm, Layout, MatMut, MatRef, Scalar};
 use mttkrp_krp::{krp_reuse, krp_rows};
@@ -76,10 +77,9 @@ pub fn mttkrp_1step_seq<S: Scalar>(
     }
 }
 
-/// Parallel 1-step MTTKRP (Algorithm 3). With a 1-thread pool this is
-/// the configuration the paper uses for sequential benchmarks of
-/// internal modes (left KRP + per-block KRP rows, less memory than the
-/// full KRP of Algorithm 2).
+/// Parallel 1-step MTTKRP (Algorithm 3). With a 1-thread pool it
+/// equals [`mttkrp_1step_seq`] bit for bit without forming the full
+/// KRP of Algorithm 2.
 ///
 /// This is a thin allocating wrapper: it builds a one-shot
 /// [`MttkrpPlan`] (forced to the 1-step kernel) and executes it.
@@ -230,12 +230,34 @@ mod tests {
             assert!(bd.categorized() > 0.0);
             assert_eq!(bd.reorder, 0.0, "1-step never reorders");
             assert_eq!(bd.dgemv, 0.0, "1-step has no GEMV phase");
-            if n == 0 || n == 2 {
-                assert_eq!(bd.lr_krp, 0.0, "external modes use the full KRP");
-                assert!(bd.full_krp > 0.0);
-            } else {
-                assert_eq!(bd.full_krp, 0.0, "internal modes never form the full KRP");
-                assert!(bd.lr_krp > 0.0);
+            assert!(bd.dgemm > 0.0, "mode {n}: {bd:?}");
+            assert_eq!(
+                (bd.full_krp, bd.lr_krp),
+                (0.0, 0.0),
+                "mode {n}: the KRP is generated inside the GEMM"
+            );
+        }
+    }
+
+    #[test]
+    fn one_thread_parallel_equals_sequential_bit_for_bit() {
+        let cases: [(&[usize], usize); 5] = [
+            (&[5, 4, 3], 3),
+            (&[6, 5, 4, 3], 4),
+            (&[4, 3, 2, 3, 2], 3),
+            (&[64, 48, 40], 16),
+            (&[10, 10, 10, 10, 10], 10),
+        ];
+        let pool = ThreadPool::new(1);
+        for (dims, c) in cases {
+            let (x, factors) = setup(dims, c);
+            let refs = factor_refs(&factors, dims, c);
+            for n in 0..dims.len() {
+                let mut want = vec![0.0; dims[n] * c];
+                let mut got = vec![f64::NAN; dims[n] * c];
+                mttkrp_1step_seq(&x, &refs, n, &mut want);
+                mttkrp_1step(&pool, &x, &refs, n, &mut got);
+                assert_eq!(got, want, "dims {dims:?} mode {n}");
             }
         }
     }

@@ -1,13 +1,11 @@
 //! Reusable MTTKRP execution plans — the plan/executor split.
 //!
-//! The seed implementation recomputed three things on every MTTKRP
-//! call: the per-mode algorithm choice, the static partition schedule,
-//! and — worst — every intermediate buffer (KRP row blocks,
-//! thread-private outputs, 2-step partials), all heap-allocated inside
-//! the hot loop. Those choices depend only on *shape* (tensor dims,
-//! rank, mode, team size), not on tensor or factor values, so an
-//! iterative driver like CP-ALS, which performs the same `N` MTTKRPs
-//! every sweep, can make them exactly once.
+//! An MTTKRP call needs three things: the per-mode algorithm choice,
+//! the static partition schedule, and its intermediate buffers
+//! (thread-private outputs, 2-step partials). They depend only on
+//! *shape* (tensor dims, rank, mode, team size), not on tensor or
+//! factor values, so an iterative driver like CP-ALS, which performs
+//! the same `N` MTTKRPs every sweep, can make them exactly once.
 //!
 //! [`MttkrpPlan`] captures everything shape-dependent:
 //!
@@ -21,12 +19,13 @@
 //!   `X(n)` for external modes (`mttkrp_parallel::block_range`),
 //!   block-cyclic dealing parameters for internal modes, and the
 //!   left/right side of the 2-step partial;
-//! * **pre-allocated workspaces**: per-thread KRP row blocks, private
-//!   `I_n × C` accumulators and Khatri-Rao cursor state held in a
-//!   [`mttkrp_parallel::Workspace`] arena, the shared left KRP of the
-//!   internal 1-step, and the 2-step's partial MTTKRP — the same
-//!   crate-private type, with its partial, `k`-chunk and multi-TTV
-//!   scratch, that [`DimTreePlan`] holds two of (see [`crate::multimode`]).
+//! * **pre-allocated workspaces**: private `I_n × C` accumulators held
+//!   in a [`mttkrp_parallel::Workspace`] arena, and the 2-step's partial
+//!   MTTKRP — the same crate-private type, with its partial, `k`-chunk
+//!   and multi-TTV scratch, that [`DimTreePlan`] holds two of (see
+//!   [`crate::multimode`]). No executor forms a KRP: every GEMM takes
+//!   its Khatri-Rao `B` as a [`KrpRef`] over the factors, whose rows
+//!   the GEMM's pack generates.
 //!
 //! [`MttkrpPlan::execute`] then runs the kernel against borrowed tensor
 //! and factor data. Steady-state execution performs **no heap
@@ -68,8 +67,7 @@
 
 use std::ops::Range;
 
-use mttkrp_blas::{gemm_with, kernels, KernelSet, Layout, MatMut, MatRef, Scalar};
-use mttkrp_krp::{par_krp_with, KrpState};
+use mttkrp_blas::{gemm_krp_with, kernels, KernelSet, KrpRef, Layout, MatMut, MatRef, Scalar};
 use mttkrp_parallel::{block_range, reduce, ThreadPool, Workspace};
 use mttkrp_tensor::DenseTensor;
 
@@ -112,11 +110,11 @@ pub enum AlgoChoice {
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum PlannedAlgo {
     /// 1-step where `X(n)` is a single strided view (external modes,
-    /// plus any mode whose left or right dims are all 1): per-thread
-    /// KRP column blocks, one GEMM each, parallel reduction.
+    /// plus any mode whose left or right dims are all 1): one GEMM per
+    /// thread on its column block, parallel reduction.
     OneStepExternal,
-    /// 1-step on a blocked internal mode: shared left KRP,
-    /// block-cyclic GEMMs.
+    /// 1-step on a blocked internal mode: block-cyclic GEMMs, parallel
+    /// reduction.
     OneStepInternal,
     /// 2-step, partial on the left (`L = X(0:n−1)ᵀ·KL`).
     TwoStepLeft,
@@ -131,10 +129,6 @@ struct ExtSlot<S: Scalar> {
     cols: Range<usize>,
     /// Private `I_n × C` output accumulator.
     m: Vec<S>,
-    /// This thread's KRP row block (`cols × C` for its column range).
-    k: Vec<S>,
-    /// Reusable Khatri-Rao cursor state.
-    krp: KrpState<S>,
     /// Per-thread phase times for the merged breakdown.
     bd: Breakdown,
 }
@@ -143,18 +137,12 @@ struct ExtSlot<S: Scalar> {
 struct IntSlot<S: Scalar> {
     /// Private `I_n × C` output accumulator.
     m: Vec<S>,
-    /// Expanded per-block KRP `K_t = KR(j,:) ⊙ KL` (`IL_n × C`).
-    kt: Vec<S>,
-    /// One row of the right KRP.
-    kr_row: Vec<S>,
-    /// Reusable Khatri-Rao cursor state.
-    krp: KrpState<S>,
     /// Per-thread phase times for the merged breakdown.
     bd: Breakdown,
 }
 
-/// The external-mode 1-step: per-thread KRP row blocks, one GEMM
-/// each, then a reduction.
+/// The external-mode 1-step: one GEMM per thread on its column block
+/// of `X(n)` and the matching KRP rows, then a reduction.
 struct ExtPlan<S: Scalar> {
     /// Threads that actually receive a column block.
     nsplit: usize,
@@ -163,18 +151,11 @@ struct ExtPlan<S: Scalar> {
     ws: Workspace<ExtSlot<S>>,
 }
 
-/// The internal-mode 1-step: a shared left KRP, block-cyclic GEMMs,
-/// then a reduction.
+/// The internal-mode 1-step: block-cyclic GEMMs, block `j` against KRP
+/// rows `j·IL_n..(j+1)·IL_n`, then a reduction.
 struct IntPlan<S: Scalar> {
-    ir: usize,
-    /// Factor indices `n−1, …, 0` (left KRP order).
-    left_order: Vec<usize>,
-    /// Factor indices `N−1, …, n+1` (right KRP order).
-    right_order: Vec<usize>,
-    /// Shared left partial KRP (`IL_n × C`).
-    kl: Vec<S>,
-    /// Cursor state for single-thread KL formation.
-    kl_state: KrpState<S>,
+    /// Factor indices in KRP order (descending, skipping `n`).
+    krp_order: Vec<usize>,
     ws: Workspace<IntSlot<S>>,
 }
 
@@ -316,6 +297,7 @@ impl<S: Scalar> MttkrpPlan<S> {
         // by index alone would send e.g. mode 1 of `[400, 300, 1]` to
         // the block-cyclic internal kernel, whose single block serializes
         // the whole GEMM on one thread.
+        let krp_order: Vec<usize> = (0..nmodes).rev().filter(|&k| k != n).collect();
         let (algo, kind) = if one_step && (il == 1 || ir == 1) {
             let j_total: usize = dims.iter().product::<usize>() / i_n;
             let nsplit = usize::min(t, j_total.max(1));
@@ -327,9 +309,7 @@ impl<S: Scalar> MttkrpPlan<S> {
                 };
                 ExtSlot {
                     m: vec![S::ZERO; i_n * c],
-                    k: vec![S::ZERO; cols.len() * c],
                     cols,
-                    krp: KrpState::new(),
                     bd: Breakdown::default(),
                 }
             });
@@ -337,28 +317,18 @@ impl<S: Scalar> MttkrpPlan<S> {
                 PlannedAlgo::OneStepExternal,
                 PlanKind::OneStepExternal(ExtPlan {
                     nsplit,
-                    krp_order: (0..nmodes).rev().filter(|&k| k != n).collect(),
+                    krp_order,
                     ws,
                 }),
             )
         } else if one_step {
             let ws = Workspace::new(t, |_| IntSlot {
                 m: vec![S::ZERO; i_n * c],
-                kt: vec![S::ZERO; il * c],
-                kr_row: vec![S::ZERO; c],
-                krp: KrpState::new(),
                 bd: Breakdown::default(),
             });
             (
                 PlannedAlgo::OneStepInternal,
-                PlanKind::OneStepInternal(IntPlan {
-                    ir,
-                    left_order: (0..n).rev().collect(),
-                    right_order: (n + 1..nmodes).rev().collect(),
-                    kl: vec![S::ZERO; il * c],
-                    kl_state: KrpState::new(),
-                    ws,
-                }),
+                PlanKind::OneStepInternal(IntPlan { krp_order, ws }),
             )
         } else {
             let use_left = match choice {
@@ -529,29 +499,6 @@ pub(crate) fn check_planned<S: Scalar>(
     assert_eq!(out.len(), dims[n] * c, "output must be I_n × C");
 }
 
-/// Form the KRP `factors[order[0]] ⊙ …` into `out`: cursor-state path
-/// for one thread (allocation-free), row-partitioned [`par_krp`] for a
-/// team.
-pub(crate) fn plan_krp<S: Scalar>(
-    ks: &KernelSet<S>,
-    pool: &ThreadPool,
-    factors: &[MatRef<S>],
-    order: &[usize],
-    st: &mut KrpState<S>,
-    out: &mut [S],
-    c: usize,
-) {
-    if pool.num_threads() == 1 {
-        let mut stream = st.cursor_with(factors, order, ks);
-        for row in out.chunks_exact_mut(c) {
-            stream.write_next(row);
-        }
-    } else {
-        let inputs: Vec<MatRef<S>> = order.iter().map(|&i| factors[i]).collect();
-        par_krp_with(ks, pool, &inputs, out);
-    }
-}
-
 impl<S: Scalar> ExtPlan<S> {
     #[allow(clippy::too_many_arguments)]
     fn run(
@@ -569,7 +516,7 @@ impl<S: Scalar> ExtPlan<S> {
         let xv = unf
             .as_single_view()
             .expect("external mode is a single strided view");
-        let krp_order = &self.krp_order;
+        let krp = KrpRef::new(factors, &self.krp_order);
 
         pool.run_with_workspace(&mut self.ws, |_, slot| {
             slot.bd = Breakdown::default();
@@ -577,29 +524,19 @@ impl<S: Scalar> ExtPlan<S> {
             if r.is_empty() {
                 return;
             }
-            timed_traced("krp", &mut slot.bd.full_krp, || {
-                let mut stream = slot.krp.cursor_with(factors, krp_order, ks);
-                stream.seek(r.start);
-                for row in slot.k.chunks_exact_mut(c) {
-                    stream.write_next(row);
-                }
-            });
             timed_traced("gemm", &mut slot.bd.dgemm, || {
-                let xt = xv.submatrix(0, r.start, i_n, r.len());
-                let kt = MatRef::from_slice(&slot.k, r.len(), c, Layout::RowMajor);
-                gemm_with(
+                gemm_krp_with(
                     ks,
                     1.0,
-                    xt,
-                    kt,
+                    xv.submatrix(0, r.start, i_n, r.len()),
+                    krp.rows(r.start, r.len()),
                     0.0,
                     MatMut::from_slice(&mut slot.m, i_n, c, Layout::RowMajor),
                 );
             });
         });
 
-        let phase = Breakdown::max_merge(self.ws.slots().iter().map(|s| &s.bd));
-        (bd.full_krp, bd.dgemm) = (phase.full_krp, phase.dgemm);
+        bd.dgemm = Breakdown::max_merge(self.ws.slots().iter().map(|s| &s.bd)).dgemm;
         timed_traced("reduce", &mut bd.reduce, || {
             reduce_slots(pool, out, self.ws.slots(), self.nsplit, |s| &s.m)
         });
@@ -618,22 +555,10 @@ impl<S: Scalar> IntPlan<S> {
         out: &mut [S],
         bd: &mut Breakdown,
     ) {
-        let (i_n, c, ir) = (x.dims()[n], factors[0].ncols(), self.ir);
+        let (i_n, c) = (x.dims()[n], factors[0].ncols());
         let unf = x.unfold(n);
-        debug_assert_eq!(unf.num_blocks(), ir);
-
-        timed_traced("krp", &mut bd.lr_krp, || {
-            plan_krp(
-                ks,
-                pool,
-                factors,
-                &self.left_order,
-                &mut self.kl_state,
-                &mut self.kl,
-                c,
-            )
-        });
-        let (kl, right_order) = (&self.kl, &self.right_order);
+        let (il, ir) = (unf.block_cols(), unf.num_blocks());
+        let krp = KrpRef::new(factors, &self.krp_order);
 
         pool.run_with_workspace(&mut self.ws, |ctx, slot| {
             slot.bd = Breakdown::default();
@@ -641,35 +566,21 @@ impl<S: Scalar> IntPlan<S> {
             // One detail span for the whole block-cyclic loop; per-block
             // spans would swamp the trace buffer for large IR_n.
             let _s = mttkrp_obs::span_full!("block_loop", blocks = ir);
-            let mut stream = slot.krp.cursor_with(factors, right_order, ks);
-            let mut j = ctx.thread_id;
-            while j < ir {
-                timed(&mut slot.bd.lr_krp, || {
-                    stream.seek(j);
-                    stream.write_next(&mut slot.kr_row);
-                    // K_t = KR(j,:) ⊙ KL : scale each KL row.
-                    for (kt_row, kl_row) in slot.kt.chunks_exact_mut(c).zip(kl.chunks_exact(c)) {
-                        (ks.hadamard)(&slot.kr_row, kl_row, kt_row);
-                    }
-                });
-                timed(&mut slot.bd.dgemm, || {
-                    let ktv = MatRef::from_slice(&slot.kt, slot.kt.len() / c, c, Layout::RowMajor);
-                    gemm_with(
+            timed(&mut slot.bd.dgemm, || {
+                for j in (ctx.thread_id..ir).step_by(ctx.num_threads) {
+                    gemm_krp_with(
                         ks,
                         1.0,
                         unf.block(j),
-                        ktv,
+                        krp.rows(j * il, il),
                         1.0,
                         MatMut::from_slice(&mut slot.m, i_n, c, Layout::RowMajor),
                     );
-                });
-                j += ctx.num_threads;
-            }
+                }
+            });
         });
 
-        let phase = Breakdown::max_merge(self.ws.slots().iter().map(|s| &s.bd));
-        bd.lr_krp += phase.lr_krp;
-        bd.dgemm = phase.dgemm;
+        bd.dgemm = Breakdown::max_merge(self.ws.slots().iter().map(|s| &s.bd)).dgemm;
         timed_traced("reduce", &mut bd.reduce, || {
             reduce_slots(pool, out, self.ws.slots(), self.ws.slots().len(), |s| &s.m)
         });

@@ -2,6 +2,10 @@
 //! Algorithm 1 of the paper — plus the naive and column-wise reference
 //! implementations it is benchmarked against, and the parallel variant.
 //!
+//! These form a KRP in memory: the explicit baseline, Algorithm 2 and
+//! Figure 4 use them. The planned MTTKRP executors never do; their
+//! GEMMs generate KRP rows in the pack (`mttkrp_blas::KrpRef`).
+//!
 //! For inputs `U_0 (J_0×C), …, U_{Z−1} (J_{Z−1}×C)` the KRP
 //! `K = U_0 ⊙ ⋯ ⊙ U_{Z−1}` is `(Π J_z) × C`; row `j` of `K` is the
 //! Hadamard product of one row from each input, where the multi-index
@@ -18,8 +22,7 @@
 //! index changes on every row, the dominant cost is exactly one Hadamard
 //! product per output row, and prefixes are recomputed only on carries
 //! (one in every `J_{Z−1}` rows). The [`KrpCursor`] exposes this as a
-//! seekable row stream, which is what both the parallel KRP and the
-//! 1-step MTTKRP's per-thread KRP blocks are built on.
+//! seekable row stream, which is what the parallel KRP is built on.
 //!
 //! # Example
 //!
@@ -39,11 +42,11 @@
 //! assert_eq!(&k[2..4], &[1.0 * 7.0, 2.0 * 8.0]);
 //! ```
 
-use mttkrp_blas::{kernels, KernelSet, MatRef, Scalar};
+use mttkrp_blas::{kernels, MatRef, Scalar};
 use mttkrp_parallel::ThreadPool;
 
-/// The Hadamard kernel signature cached inside the row streams: the
-/// dispatched SIMD tier is resolved once per cursor/stream, so the
+/// The Hadamard kernel signature cached inside [`KrpCursor`]: the
+/// dispatched SIMD tier is resolved once per cursor, so the
 /// one-Hadamard-per-row hot loop of Algorithm 1 pays no per-row
 /// dispatch lookup.
 type HadamardFn<S> = fn(&[S], &[S], &mut [S]);
@@ -95,12 +98,6 @@ impl<'a, S: Scalar> KrpCursor<'a, S> {
     /// rows that are not contiguous (`col_stride != 1`), since rows are
     /// consumed as slices.
     pub fn new(inputs: &[MatRef<'a, S>]) -> Self {
-        Self::new_with(inputs, kernels::<S>())
-    }
-
-    /// [`KrpCursor::new`] against an explicit [`KernelSet`] (e.g. a
-    /// plan's pinned tier).
-    pub fn new_with(inputs: &[MatRef<'a, S>], ks: &KernelSet<S>) -> Self {
         let c = krp_cols(inputs);
         for (z, u) in inputs.iter().enumerate() {
             assert_eq!(u.col_stride(), 1, "KRP input {z} must have contiguous rows");
@@ -115,7 +112,7 @@ impl<'a, S: Scalar> KrpCursor<'a, S> {
             ell: vec![0; z],
             prefix: vec![S::ZERO; z.saturating_sub(2) * c],
             remaining: total,
-            had: ks.hadamard,
+            had: kernels::<S>().hadamard,
         };
         cur.rebuild_prefixes(0);
         cur
@@ -207,206 +204,6 @@ impl<'a, S: Scalar> KrpCursor<'a, S> {
         }
         // prefix[k] depends on ℓ_0..ℓ_{k+1}; a change at `pos < Z−1`
         // invalidates prefixes k >= pos−1.
-        if pos < z - 1 {
-            self.rebuild_prefixes(pos.saturating_sub(1));
-        }
-    }
-}
-
-/// Reusable, allocation-free backing storage for a KRP row stream.
-///
-/// [`KrpCursor`] owns its multi-index and prefix table, which costs a
-/// handful of heap allocations per cursor — fine for one-shot calls,
-/// but the plan-based MTTKRP executors stream KRP rows on every
-/// invocation and must not allocate in steady state. A `KrpState` holds
-/// those buffers across invocations: [`KrpState::cursor`] borrows them
-/// into a [`KrpRowStream`] positioned at row 0, resizing only on the
-/// first use of a larger shape (capacity is retained thereafter).
-///
-/// The input list is addressed *indirectly* through an `order` slice of
-/// indices into the caller's factor list, so callers with a precomputed
-/// mode order (e.g. `MttkrpPlan`) never build a reordered `Vec<MatRef>`
-/// in the hot path.
-#[derive(Debug)]
-pub struct KrpState<S: Scalar = f64> {
-    rows: Vec<usize>,
-    ell: Vec<usize>,
-    prefix: Vec<S>,
-}
-
-impl<S: Scalar> Default for KrpState<S> {
-    fn default() -> Self {
-        KrpState {
-            rows: Vec::new(),
-            ell: Vec::new(),
-            prefix: Vec::new(),
-        }
-    }
-}
-
-impl<S: Scalar> KrpState<S> {
-    /// Empty state; buffers grow on first use and are then retained.
-    pub fn new() -> Self {
-        KrpState::default()
-    }
-
-    /// Borrow a row stream over `factors[order[0]] ⊙ factors[order[1]] ⊙ …`,
-    /// positioned at row 0, dispatching through the process-wide
-    /// kernel set.
-    ///
-    /// # Panics
-    /// Panics if `order` is empty, indexes out of `factors`, or the
-    /// selected inputs disagree on columns / have non-contiguous rows.
-    pub fn cursor<'f, 's>(
-        &'s mut self,
-        factors: &'f [MatRef<'f, S>],
-        order: &'s [usize],
-    ) -> KrpRowStream<'f, 's, S> {
-        self.cursor_with(factors, order, kernels::<S>())
-    }
-
-    /// [`KrpState::cursor`] against an explicit [`KernelSet`] — what
-    /// the plan executors use so a tier pinned at plan construction
-    /// also drives the KRP row products.
-    pub fn cursor_with<'f, 's>(
-        &'s mut self,
-        factors: &'f [MatRef<'f, S>],
-        order: &'s [usize],
-        ks: &KernelSet<S>,
-    ) -> KrpRowStream<'f, 's, S> {
-        assert!(!order.is_empty(), "KRP of zero matrices is undefined");
-        let c = factors[order[0]].ncols();
-        for &i in order {
-            let u = &factors[i];
-            assert_eq!(u.ncols(), c, "KRP input {i} has mismatched column count");
-            assert_eq!(u.col_stride(), 1, "KRP input {i} must have contiguous rows");
-        }
-        let z = order.len();
-        self.rows.clear();
-        self.rows.extend(order.iter().map(|&i| factors[i].nrows()));
-        self.ell.clear();
-        self.ell.resize(z, 0);
-        self.prefix.clear();
-        self.prefix.resize(z.saturating_sub(2) * c, S::ZERO);
-        let total: usize = self.rows.iter().product();
-        let mut stream = KrpRowStream {
-            factors,
-            order,
-            c,
-            st: self,
-            remaining: total,
-            had: ks.hadamard,
-        };
-        stream.rebuild_prefixes(0);
-        stream
-    }
-}
-
-/// A borrowed KRP row stream over externally owned state — the
-/// allocation-free counterpart of [`KrpCursor`] (same Algorithm 1
-/// prefix reuse, same row order).
-pub struct KrpRowStream<'f, 's, S: Scalar = f64> {
-    factors: &'f [MatRef<'f, S>],
-    order: &'s [usize],
-    c: usize,
-    st: &'s mut KrpState<S>,
-    remaining: usize,
-    /// Dispatched Hadamard kernel, resolved at stream creation.
-    had: HadamardFn<S>,
-}
-
-impl<'f, S: Scalar> KrpRowStream<'f, '_, S> {
-    #[inline]
-    fn input(&self, z: usize) -> MatRef<'f, S> {
-        self.factors[self.order[z]]
-    }
-
-    /// Number of rows not yet emitted.
-    #[inline]
-    pub fn remaining(&self) -> usize {
-        self.remaining
-    }
-
-    /// Column count `C`.
-    #[inline]
-    pub fn cols(&self) -> usize {
-        self.c
-    }
-
-    /// Position the stream at absolute output row `j` (per-thread
-    /// initialization of the parallel variant, §4.1.2).
-    pub fn seek(&mut self, j: usize) {
-        let total: usize = self.st.rows.iter().product();
-        assert!(j <= total, "seek past end of KRP");
-        let mut rem = j;
-        for z in (0..self.st.rows.len()).rev() {
-            self.st.ell[z] = rem % self.st.rows[z];
-            rem /= self.st.rows[z];
-        }
-        self.remaining = total - j;
-        self.rebuild_prefixes(0);
-    }
-
-    /// Recompute prefix products `prefix[from..]` from the current
-    /// multi-index.
-    fn rebuild_prefixes(&mut self, from: usize) {
-        let z = self.order.len();
-        if z < 3 {
-            return;
-        }
-        let c = self.c;
-        for k in from..z - 2 {
-            let right = self.input(k + 1).row_slice(self.st.ell[k + 1]);
-            if k == 0 {
-                let left = self.input(0).row_slice(self.st.ell[0]);
-                (self.had)(left, right, &mut self.st.prefix[..c]);
-            } else {
-                let (done, rest) = self.st.prefix.split_at_mut(k * c);
-                let left = &done[(k - 1) * c..];
-                (self.had)(left, right, &mut rest[..c]);
-            }
-        }
-    }
-
-    /// Write the current row into `out` and advance the stream.
-    ///
-    /// # Panics
-    /// Panics if the stream is exhausted or `out.len() != C`.
-    pub fn write_next(&mut self, out: &mut [S]) {
-        assert!(self.remaining > 0, "KRP stream exhausted");
-        assert_eq!(out.len(), self.c, "output row must have length C");
-        let z = self.order.len();
-        let last = self.input(z - 1).row_slice(self.st.ell[z - 1]);
-        match z {
-            1 => out.copy_from_slice(last),
-            2 => (self.had)(self.input(0).row_slice(self.st.ell[0]), last, out),
-            _ => (self.had)(
-                &self.st.prefix[(z - 3) * self.c..(z - 2) * self.c],
-                last,
-                out,
-            ),
-        }
-        self.advance();
-    }
-
-    /// Increment the multi-index (last position fastest) and refresh the
-    /// prefix products invalidated by the carry, if any.
-    fn advance(&mut self) {
-        self.remaining -= 1;
-        if self.remaining == 0 {
-            return;
-        }
-        let z = self.order.len();
-        let mut pos = z - 1;
-        loop {
-            self.st.ell[pos] += 1;
-            if self.st.ell[pos] < self.st.rows[pos] {
-                break;
-            }
-            self.st.ell[pos] = 0;
-            debug_assert!(pos > 0, "advance past end contradicts remaining > 0");
-            pos -= 1;
-        }
         if pos < z - 1 {
             self.rebuild_prefixes(pos.saturating_sub(1));
         }
@@ -521,31 +318,18 @@ pub fn par_krp_naive<S: Scalar>(pool: &ThreadPool, inputs: &[MatRef<S>], out: &m
 /// contiguous blocks; each thread seeks a private [`KrpCursor`] to its
 /// starting row and streams its block.
 pub fn par_krp<S: Scalar>(pool: &ThreadPool, inputs: &[MatRef<S>], out: &mut [S]) {
-    par_krp_with(kernels::<S>(), pool, inputs, out)
-}
-
-/// [`par_krp`] against an explicit [`KernelSet`].
-pub fn par_krp_with<S: Scalar>(
-    ks: &KernelSet<S>,
-    pool: &ThreadPool,
-    inputs: &[MatRef<S>],
-    out: &mut [S],
-) {
     let c = krp_cols(inputs);
     let j = krp_rows(inputs);
     assert_eq!(out.len(), j * c, "output must be (Π J_z) × C");
     let _span = mttkrp_obs::span_full!("par_krp", rows = j);
     if pool.num_threads() == 1 {
-        let mut cur = KrpCursor::new_with(inputs, ks);
-        for row in out.chunks_exact_mut(c) {
-            cur.write_next(row);
-        }
+        krp_reuse(inputs, out);
         return;
     }
     let mut rows: Vec<&mut [S]> = out.chunks_exact_mut(c).collect();
     let nrows = rows.len();
     pool.parallel_for_blocks(nrows, &mut rows, |_, range, chunk| {
-        let mut cur = KrpCursor::new_with(inputs, ks);
+        let mut cur = KrpCursor::new(inputs);
         cur.seek(range.start);
         for row in chunk.iter_mut() {
             cur.write_next(row);

@@ -4,9 +4,7 @@
 //! fixed-seed [`mttkrp_rng::Rng64`] stream.
 
 use mttkrp_blas::{Layout, MatRef};
-use mttkrp_krp::{
-    krp_colwise, krp_naive, krp_reuse, krp_rows, par_krp, par_krp_naive, KrpCursor, KrpState,
-};
+use mttkrp_krp::{krp_colwise, krp_naive, krp_reuse, krp_rows, par_krp, par_krp_naive, KrpCursor};
 use mttkrp_parallel::ThreadPool;
 use mttkrp_rng::Rng64;
 
@@ -97,57 +95,6 @@ fn cursor_seek_is_consistent() {
             );
         }
         assert_eq!(cur.remaining(), 0);
-    }
-}
-
-#[test]
-fn state_cursor_matches_owned_cursor() {
-    // The allocation-free KrpState stream must emit exactly the rows of
-    // the owning KrpCursor, including when one state is reused across
-    // different input sets and orders.
-    let mut rng = Rng64::seed_from_u64(0x6B29_0004);
-    let mut state = KrpState::new();
-    for case in 0..96 {
-        let inp = rand_inputs(&mut rng);
-        let inputs = refs(&inp);
-        let j = krp_rows(&inputs);
-        let mut full = vec![0.0; j * inp.c];
-        krp_reuse(&inputs, &mut full);
-
-        // Identity order over the already-ordered inputs.
-        let order: Vec<usize> = (0..inputs.len()).collect();
-        let start = rng.usize_below(j);
-        let mut stream = state.cursor(&inputs, &order);
-        stream.seek(start);
-        let mut row = vec![0.0; inp.c];
-        for jj in start..j {
-            stream.write_next(&mut row);
-            assert_eq!(
-                &row[..],
-                &full[jj * inp.c..(jj + 1) * inp.c],
-                "case {case} row {jj}"
-            );
-        }
-
-        // A random permutation order must equal a cursor over the
-        // permuted input list.
-        let mut order: Vec<usize> = (0..inputs.len()).collect();
-        for i in (1..order.len()).rev() {
-            order.swap(i, rng.usize_below(i + 1));
-        }
-        let permuted: Vec<MatRef> = order.iter().map(|&i| inputs[i]).collect();
-        let jp = krp_rows(&permuted);
-        let mut want = vec![0.0; jp * inp.c];
-        krp_reuse(&permuted, &mut want);
-        let mut stream = state.cursor(&inputs, &order);
-        for jj in 0..jp {
-            stream.write_next(&mut row);
-            assert_eq!(
-                &row[..],
-                &want[jj * inp.c..(jj + 1) * inp.c],
-                "case {case} perm row {jj}"
-            );
-        }
     }
 }
 

@@ -1,8 +1,8 @@
 //! Reusable per-thread workspace arenas.
 //!
 //! The paper's parallel MTTKRP kernels give every thread private
-//! buffers (KRP row blocks, partial outputs) that the seed
-//! implementation re-allocated on every call. A [`Workspace`] owns one
+//! buffers (partial outputs, scratch) that would otherwise be
+//! allocated on every call. A [`Workspace`] owns one
 //! slot of caller-defined state per pool thread and hands thread `t`
 //! exclusive `&mut` access to slot `t` inside a region
 //! ([`ThreadPool::run_with_workspace`]), so a kernel that keeps its

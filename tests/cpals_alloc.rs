@@ -43,7 +43,7 @@ fn assert_steady_state_sweeps_do_not_allocate<S: Scalar>(
     };
     let mut sweep = CpAlsSweep::new(&pool, &x, KruskalModel::random(dims, 5, 77), &opts);
     // Warm up: the first iteration grows the thread-local GEMM pack
-    // and SYRK accumulator buffers and the KRP cursor state.
+    // and SYRK accumulator buffers.
     let (warm_fit, _) = sweep.sweep(&pool, &x);
     assert!(warm_fit.is_finite());
     let (calls, bytes) = counted(|| {

@@ -3,9 +3,9 @@
 //! The acceptance property of the plan/executor split: after plan
 //! construction (and one warm-up execution to fill lazily grown
 //! buffers like the GEMM pack cache), executing a plan performs **zero
-//! heap allocation** on a single-thread pool — every KRP block,
-//! private accumulator, partial, and cursor buffer is reused. The
-//! allocating wrappers, by contrast, allocate on every call.
+//! heap allocation** on a single-thread pool — every private
+//! accumulator, partial and scratch buffer is reused. The allocating
+//! wrappers, by contrast, build a plan on every call.
 //!
 //! The per-thread counting-allocator harness is shared with the
 //! sparse twin; see `tests/support/counting_alloc.rs`.
@@ -55,7 +55,7 @@ fn steady_state_plan_execution_does_not_allocate() {
             let mut plan = MttkrpPlan::new(&pool, &dims, c, n, choice);
             let mut out = vec![0.0; dims[n] * c];
             // Warm up: first run grows the thread-local GEMM pack
-            // buffers and the KRP cursor state to their steady sizes.
+            // buffers to their steady sizes.
             plan.execute(&pool, &x, &frefs, &mut out);
             let (calls, bytes) = counted(|| {
                 plan.execute(&pool, &x, &frefs, &mut out);
@@ -68,15 +68,15 @@ fn steady_state_plan_execution_does_not_allocate() {
             );
         }
 
-        // Contrast: the allocating wrapper pays tensor-sized buffers on
-        // every call (this is what the plan split eliminates).
+        // Contrast: the allocating wrapper builds (and allocates) a
+        // plan on every call (this is what the plan split eliminates).
         let mut out = vec![0.0; dims[n] * c];
         mttkrp_auto(&pool, &x, &frefs, n, &mut out);
         let (calls, bytes) = counted(|| {
             mttkrp_auto(&pool, &x, &frefs, n, &mut out);
         });
         assert!(
-            calls > 0 && bytes > 1024,
+            calls > 0,
             "expected the wrapper to allocate per call: n={n} calls={calls} bytes={bytes}"
         );
     }
